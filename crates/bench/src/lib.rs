@@ -6,7 +6,8 @@
 //! reference environment builds offline, so criterion is unavailable):
 //! timing comes from [`std::time::Instant`], and allocation accounting
 //! from [`CountingAlloc`], a `#[global_allocator]` wrapper around the
-//! system allocator that counts every heap allocation.
+//! system allocator that counts every heap allocation made by the
+//! calling thread.
 //!
 //! Run the harness with:
 //!
@@ -21,12 +22,21 @@
 //! per access.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use mnm_experiments::json::Json;
 
-/// Heap allocations observed by [`CountingAlloc`] since process start.
-pub static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Heap allocations made by this thread since it started. The const
+    /// initialiser and the `Drop`-free `Cell` mean the slot needs no lazy
+    /// registration, so touching it from inside the allocator never
+    /// allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 /// A counting wrapper around the system allocator. Register it in a
 /// binary or test with:
@@ -35,11 +45,15 @@ pub static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 /// #[global_allocator]
 /// static ALLOC: mnm_bench::CountingAlloc = mnm_bench::CountingAlloc;
 /// ```
+///
+/// Counts are kept per thread, so a measurement on one thread is not
+/// disturbed by allocations on others (for example, other tests running
+/// under the parallel test harness).
 pub struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -48,19 +62,19 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc_zeroed(layout)
     }
 }
 
-/// Allocations counted so far (monotone).
+/// Allocations counted so far on the calling thread (monotone).
 pub fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// Measurements from one benchmark scenario.

@@ -250,13 +250,18 @@ pub fn parse_frame_header(
     Ok(FrameHeader { frame_type, payload_len, crc })
 }
 
-/// The CRC a frame of this type/length/payload must carry.
-pub fn frame_crc(frame_type: FrameType, payload: &[u8]) -> u32 {
+/// CRC-32 over a frame's type byte, length field and payload.
+fn crc_over(frame_type: FrameType, payload_len: u32, payload: &[u8]) -> u32 {
     let mut c = Crc32::new();
     c.update(&[frame_type as u8]);
-    c.update(&(payload.len() as u32).to_le_bytes());
+    c.update(&payload_len.to_le_bytes());
     c.update(payload);
     c.finish()
+}
+
+/// The CRC a frame of this type/length/payload must carry.
+pub fn frame_crc(frame_type: FrameType, payload: &[u8]) -> u32 {
+    crc_over(frame_type, payload.len() as u32, payload)
 }
 
 /// Check a received payload against its header's CRC.
@@ -266,11 +271,7 @@ pub fn frame_crc(frame_type: FrameType, payload: &[u8]) -> u32 {
 /// any reason must still fail verification if the wire length was
 /// damaged.
 pub fn verify_frame_crc(header: &FrameHeader, payload: &[u8]) -> Result<(), WireError> {
-    let mut c = Crc32::new();
-    c.update(&[header.frame_type as u8]);
-    c.update(&header.payload_len.to_le_bytes());
-    c.update(payload);
-    let got = c.finish();
+    let got = crc_over(header.frame_type, header.payload_len, payload);
     if got != header.crc {
         return Err(WireError::Crc { expected: header.crc, got });
     }
@@ -358,6 +359,7 @@ pub fn parse_retry_after_ms(detail: &str) -> Option<u64> {
 /// Encode a `Records` payload: the sequence number followed by the
 /// records.
 pub fn encode_records_payload(seq: u64, instrs: &[Instr], out: &mut Vec<u8>) {
+    out.reserve(SEQ_BYTES + instrs.len() * RECORD_BYTES);
     out.extend_from_slice(&seq.to_le_bytes());
     for &i in instrs {
         trace_synth::encode_record(i, out);
@@ -382,8 +384,12 @@ pub fn decode_records(payload: &[u8], out: &mut Vec<Instr>) -> Result<u64, WireE
             body.len()
         )));
     }
+    out.reserve(body.len() / RECORD_BYTES);
     for rec in body.chunks_exact(RECORD_BYTES) {
-        out.push(decode_record(rec).map_err(|e| WireError::BadRecords(e.to_string()))?);
+        match decode_record(rec) {
+            Ok(instr) => out.push(instr),
+            Err(e) => return Err(WireError::BadRecords(e.to_string())),
+        }
     }
     Ok(seq)
 }
@@ -654,30 +660,84 @@ mod tests {
         }
     }
 
+    /// One record of every `InstrKind`, with both branch outcomes and
+    /// extreme field values.
+    fn every_kind() -> Vec<Instr> {
+        vec![
+            Instr { pc: 0, kind: InstrKind::Op { latency: 0 }, src1: 0, src2: 0 },
+            Instr { pc: u64::MAX, kind: InstrKind::Op { latency: 255 }, src1: 255, src2: 1 },
+            Instr { pc: 0x400010, kind: InstrKind::Load { addr: u64::MAX }, src1: 7, src2: 0 },
+            Instr { pc: 0x400014, kind: InstrKind::Store { addr: 0 }, src1: 0, src2: 9 },
+            Instr {
+                pc: 0x400018,
+                kind: InstrKind::Branch { mispredicted: true },
+                src1: 3,
+                src2: 4,
+            },
+            Instr {
+                pc: 0x40001c,
+                kind: InstrKind::Branch { mispredicted: false },
+                src1: 0,
+                src2: 0,
+            },
+        ]
+    }
+
     #[test]
     fn records_payload_round_trips_with_seq() {
-        let instrs = [
-            Instr { pc: 0x400000, kind: InstrKind::Load { addr: 0xdead_beef }, src1: 1, src2: 0 },
-            Instr { pc: 0x400004, kind: InstrKind::Store { addr: 0x1234 }, src1: 0, src2: 3 },
-            Instr { pc: 0x400008, kind: InstrKind::Op { latency: 3 }, src1: 2, src2: 2 },
-        ];
-        let mut payload = Vec::new();
+        let instrs = every_kind();
+        let mut payload = vec![0xAA; 3];
         encode_records_payload(41, &instrs, &mut payload);
-        let mut back = Vec::new();
-        assert_eq!(decode_records(&payload, &mut back).unwrap(), 41);
-        assert_eq!(back, instrs);
+        assert_eq!(&payload[..3], &[0xAA; 3], "encode appends after existing bytes");
+        assert_eq!(payload.len(), 3 + SEQ_BYTES + instrs.len() * RECORD_BYTES);
+        let payload = payload.split_off(3);
 
-        // A ragged payload is rejected.
-        let mut ragged = Vec::new();
-        assert!(matches!(
-            decode_records(&payload[..payload.len() - 1], &mut ragged),
-            Err(WireError::BadRecords(_))
-        ));
+        // Decoding appends after whatever `out` already holds.
+        let first = Instr { pc: 1, kind: InstrKind::Op { latency: 2 }, src1: 3, src2: 4 };
+        let mut back = vec![first];
+        assert_eq!(decode_records(&payload, &mut back).unwrap(), 41);
+        assert_eq!(back[0], first);
+        assert_eq!(&back[1..], &instrs[..]);
+
+        // An empty body is a valid frame of zero records.
+        assert_eq!(decode_records(&payload[..SEQ_BYTES], &mut back).unwrap(), 41);
+        assert_eq!(back.len(), 1 + instrs.len());
+
         // A payload shorter than the seq prefix is rejected.
-        assert!(matches!(
-            decode_records(&payload[..7], &mut ragged),
-            Err(WireError::BadRecords(_))
-        ));
+        for len in 0..SEQ_BYTES {
+            assert_eq!(
+                decode_records(&payload[..len], &mut Vec::new()).unwrap_err(),
+                WireError::BadRecords(format!(
+                    "payload of {len} bytes is shorter than the 8-byte seq prefix"
+                ))
+            );
+        }
+        // A ragged payload is rejected.
+        for body in (1..2 * RECORD_BYTES).filter(|b| b % RECORD_BYTES != 0) {
+            assert_eq!(
+                decode_records(&payload[..SEQ_BYTES + body], &mut Vec::new()).unwrap_err(),
+                WireError::BadRecords(format!(
+                    "record body of {body} bytes is not a multiple of the 20-byte record size"
+                ))
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_tag_anywhere_names_the_tag() {
+        let instrs = every_kind();
+        let mut payload = Vec::new();
+        encode_records_payload(3, &instrs, &mut payload);
+        for (i, tag) in [(0, 4u8), (instrs.len() / 2, 0x7F), (instrs.len() - 1, 0xFF)] {
+            let mut bad = payload.clone();
+            bad[SEQ_BYTES + i * RECORD_BYTES + 10] = tag;
+            let err = decode_records(&bad, &mut Vec::new()).unwrap_err();
+            assert_eq!(
+                err,
+                WireError::BadRecords(format!("unknown instruction tag {tag}")),
+                "record {i}"
+            );
+        }
     }
 
     #[test]

@@ -248,12 +248,12 @@ fn read_hello_reply(conn: &mut Conn) -> Result<(u64, u64), ClientError> {
             // `last_acked` would silently skip or replay frames.
             let mut trailer = [0u8; 20];
             read_exact_client(conn, &mut trailer)?;
-            let mut whole = Vec::with_capacity(25);
-            whole.extend_from_slice(&fixed);
-            whole.extend_from_slice(&len);
-            whole.extend_from_slice(&trailer[..16]);
+            let mut crc = trace_synth::Crc32::new();
+            crc.update(&fixed);
+            crc.update(&len);
+            crc.update(&trailer[..16]);
             let wire_crc = u32::from_le_bytes(trailer[16..].try_into().unwrap());
-            if trace_synth::crc32(&whole) != wire_crc {
+            if crc.finish() != wire_crc {
                 return Err(ClientError::retryable("hello reply failed its crc".to_string()));
             }
             let token = u64::from_le_bytes(trailer[..8].try_into().unwrap());
