@@ -1,7 +1,8 @@
 //! Property-style tests of the cache simulator's core invariants.
 //!
-//! Formerly proptest-based; rewritten as deterministic seeded sweeps (a
-//! local splitmix64 drives the input generation) so the workspace builds
+//! Formerly proptest-based; rewritten as deterministic seeded sweeps (the
+//! shared `trace_synth::hash` SplitMix64 stream drives the input
+//! generation; `trace-synth` is a dev-dependency only) so the workspace builds
 //! with no external crates. Each property runs over many seeds, covering
 //! the same input distributions as before on every run.
 
@@ -10,17 +11,14 @@ use cache_sim::{
     LevelConfig, ProbeOutcome, ReplacementPolicy, ReplayScratch,
 };
 use std::collections::HashSet;
+use trace_synth::hash::SplitMix64;
 
-/// Minimal deterministic generator for test inputs (splitmix64).
-struct Gen(u64);
+/// Test-input generator: a SplitMix64 stream plus input shapes.
+struct Gen(SplitMix64);
 
 impl Gen {
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.0.next_u64()
     }
 
     fn below(&mut self, bound: u64) -> u64 {
@@ -43,7 +41,7 @@ fn small_config(assoc: u32, policy: ReplacementPolicy) -> CacheConfig {
 #[test]
 fn cache_matches_reference_semantics() {
     let policies = [ReplacementPolicy::Lru, ReplacementPolicy::Fifo, ReplacementPolicy::Random];
-    let mut gen = Gen(0xCAC4E);
+    let mut gen = Gen(SplitMix64::new(0xCAC4E));
     for case in 0..64u64 {
         let assoc = 1 + (case % 4) as u32;
         let policy = policies[(case / 4) as usize % policies.len()];
@@ -94,7 +92,7 @@ fn cache_matches_reference_semantics() {
 /// probe latencies plus memory when it reached memory.
 #[test]
 fn latency_is_sum_of_probe_latencies() {
-    let mut gen = Gen(0x1A7E);
+    let mut gen = Gen(SplitMix64::new(0x1A7E));
     for _ in 0..64 {
         let addrs = gen.addrs(0x20000, 300);
         let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
@@ -116,7 +114,7 @@ fn latency_is_sum_of_probe_latencies() {
 /// Statistics are internally consistent after any access mix.
 #[test]
 fn stats_are_consistent() {
-    let mut gen = Gen(0x57A75);
+    let mut gen = Gen(SplitMix64::new(0x57A75));
     for _ in 0..64 {
         let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
         let n = 1 + gen.below(400);
@@ -153,7 +151,7 @@ fn stats_are_consistent() {
 /// sub-block expansion covers the full line.
 #[test]
 fn events_expand_consistently() {
-    let mut gen = Gen(0xE7E27);
+    let mut gen = Gen(SplitMix64::new(0xE7E27));
     for _ in 0..64 {
         let addrs = gen.addrs(0x40000, 200);
         let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
@@ -180,7 +178,7 @@ fn events_expand_consistently() {
 /// The instruction path never touches data-only structures and vice versa.
 #[test]
 fn paths_are_disjoint_at_split_levels() {
-    let mut gen = Gen(0xD15701);
+    let mut gen = Gen(SplitMix64::new(0xD15701));
     for _ in 0..64 {
         let addrs = gen.addrs(0x8000, 200);
         let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
@@ -199,7 +197,7 @@ fn paths_are_disjoint_at_split_levels() {
 /// and never mutates state.
 #[test]
 fn dry_run_predicts_the_walk() {
-    let mut gen = Gen(0xD2112);
+    let mut gen = Gen(SplitMix64::new(0xD2112));
     for _ in 0..64 {
         let warm = gen.addrs(0x8000, 150);
         let probe = gen.below(0x8000);
@@ -227,7 +225,7 @@ fn dry_run_predicts_the_walk() {
 /// an allocation optimisation, never a semantic change.
 #[test]
 fn scratch_reuse_matches_fresh_allocation_exactly() {
-    let mut gen = Gen(0x5C2A7C4);
+    let mut gen = Gen(SplitMix64::new(0x5C2A7C4));
     for _ in 0..32 {
         let mut reused = Hierarchy::new(HierarchyConfig::paper_five_level());
         let mut fresh = Hierarchy::new(HierarchyConfig::paper_five_level());

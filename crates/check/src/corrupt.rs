@@ -21,8 +21,9 @@
 
 use cache_sim::{Access, AccessKind, BypassSet, CacheEvent, Hierarchy, ProbeRecord};
 use mnm_core::Mnm;
+use trace_synth::hash::splitmix64;
 
-use crate::generate::{splitmix64, Op};
+use crate::generate::Op;
 use crate::harness::{check_ops, CheckFilter};
 use crate::shrink::shrink_ops;
 use crate::{build_filter, AnyFilter, Scenario, ScenarioReport};

@@ -35,7 +35,7 @@ pub mod multicore;
 pub mod reference;
 pub mod shrink;
 
-pub use generate::{render_ops, scenario_seed, splitmix64, Op, TraceGen};
+pub use generate::{render_ops, scenario_seed, Op, TraceGen};
 pub use harness::{check_ops, CheckCounters, CheckFilter, Violation, ViolationKind};
 pub use multicore::{
     run_multicore_scenario, run_multicore_suite, MulticoreChecker, MulticoreReport,

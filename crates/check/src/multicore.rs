@@ -40,10 +40,9 @@ use cache_sim::{Access, BypassSet, CacheEvent, EventKind, StructureId};
 use mnm_core::MnmConfig;
 use mnm_shard::{sharded_streams, L3Outcome, ShardConfig, ShardObserver, ShardReport, ShardedSim};
 use std::collections::HashSet;
+use trace_synth::hash::splitmix64;
 use trace_synth::profiles;
 use trace_synth::sharing::SharingSpec;
-
-use crate::splitmix64;
 
 /// Filter labels the multi-core suite sweeps (the single-core defaults
 /// minus the perfect oracle, which is not a buildable `MnmConfig`).

@@ -8,19 +8,7 @@ use std::collections::HashMap;
 use mnm_core::{
     Cmnm, CmnmConfig, MissFilter, Rmnm, RmnmConfig, SmnmConfig, SmnmFilter, TmnmConfig, TmnmFilter,
 };
-
-/// Minimal deterministic generator for test inputs (splitmix64).
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
+use trace_synth::hash::SplitMix64;
 
 /// An abstract cache trace: alternating place/replace operations that a
 /// real cache could emit (a block is placed at most once before being
@@ -30,13 +18,13 @@ struct CacheTrace {
     ops: Vec<(bool, u64)>, // (is_place, block)
 }
 
-fn cache_trace(gen: &mut Gen, max_ops: u64, addr_space: u64) -> CacheTrace {
-    let n = 1 + gen.next() % max_ops;
+fn cache_trace(gen: &mut SplitMix64, max_ops: u64, addr_space: u64) -> CacheTrace {
+    let n = 1 + gen.next_u64() % max_ops;
     // Repair the raw stream into a legal place/replace alternation.
     let mut live: HashMap<u64, u32> = HashMap::new();
     let mut ops = Vec::with_capacity(n as usize);
     for _ in 0..n {
-        let block = gen.next() % addr_space;
+        let block = gen.next_u64() % addr_space;
         let count = live.entry(block).or_insert(0);
         if *count == 0 {
             *count = 1;
@@ -72,7 +60,7 @@ fn check_filter_soundness(filter: &mut dyn MissFilter, trace: &CacheTrace) {
 
 #[test]
 fn smnm_never_flags_live_blocks() {
-    let mut gen = Gen(0x5111);
+    let mut gen = SplitMix64::new(0x5111);
     for case in 0..40u64 {
         let w = 4 + (case % 12) as u32;
         let r = 1 + (case % 3) as u32;
@@ -84,7 +72,7 @@ fn smnm_never_flags_live_blocks() {
 
 #[test]
 fn tmnm_never_flags_live_blocks() {
-    let mut gen = Gen(0x7111);
+    let mut gen = SplitMix64::new(0x7111);
     for case in 0..40u64 {
         let bits = 2 + (case % 12) as u32;
         let r = 1 + (case % 3) as u32;
@@ -97,7 +85,7 @@ fn tmnm_never_flags_live_blocks() {
 
 #[test]
 fn cmnm_never_flags_live_blocks() {
-    let mut gen = Gen(0xC111);
+    let mut gen = SplitMix64::new(0xC111);
     for case in 0..40u64 {
         let k = [1u32, 2, 4, 8][(case % 4) as usize];
         let m = 2 + (case % 12) as u32;
@@ -109,7 +97,7 @@ fn cmnm_never_flags_live_blocks() {
 
 #[test]
 fn rmnm_never_flags_live_blocks() {
-    let mut gen = Gen(0x2111);
+    let mut gen = SplitMix64::new(0x2111);
     for case in 0..40u64 {
         let blocks = [16u32, 64, 256][(case % 3) as usize];
         let assoc = [1u32, 2, 4][(case / 3 % 3) as usize];
@@ -139,7 +127,7 @@ fn rmnm_never_flags_live_blocks() {
 /// to avoid aliasing, TMNM is a *perfect* filter (counter == live).
 #[test]
 fn tmnm_is_exact_without_aliasing() {
-    let mut gen = Gen(0xE8AC7);
+    let mut gen = SplitMix64::new(0xE8AC7);
     for _ in 0..40 {
         let trace = cache_trace(&mut gen, 120, 64);
         let mut f = TmnmFilter::new(TmnmConfig::with_counter_bits(6, 1, 8));
@@ -164,7 +152,7 @@ fn tmnm_is_exact_without_aliasing() {
 /// Flush must restore the all-cold verdict for every technique.
 #[test]
 fn flush_makes_everything_a_definite_miss_again() {
-    let mut gen = Gen(0xF1054);
+    let mut gen = SplitMix64::new(0xF1054);
     for _ in 0..40 {
         let trace = cache_trace(&mut gen, 100, 0x1000);
         let mut filters: Vec<Box<dyn MissFilter>> = vec![
@@ -192,7 +180,7 @@ fn flush_makes_everything_a_definite_miss_again() {
 /// the history of operations.
 #[test]
 fn storage_is_history_independent() {
-    let mut gen = Gen(0x570124);
+    let mut gen = SplitMix64::new(0x570124);
     for _ in 0..40 {
         let trace = cache_trace(&mut gen, 100, 0x1000);
         let mut f = TmnmFilter::new(TmnmConfig::new(12, 3));

@@ -4,35 +4,23 @@
 
 use cache_sim::{Hierarchy, HierarchyConfig};
 use ooo_model::{simulate, CpuConfig, LoadSpeculation, MemPolicy};
+use trace_synth::hash::SplitMix64;
 use trace_synth::{profiles, Instr, InstrKind, Program};
-
-/// Minimal deterministic generator for test inputs (splitmix64).
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
 
 fn hier() -> Hierarchy {
     Hierarchy::new(HierarchyConfig::paper_five_level())
 }
 
 /// Random but structurally valid instruction traces.
-fn trace(gen: &mut Gen) -> Vec<Instr> {
-    let n = 50 + gen.next() % 550;
+fn trace(gen: &mut SplitMix64) -> Vec<Instr> {
+    let n = 50 + gen.next_u64() % 550;
     (0..n)
         .map(|i| {
-            let addr = (gen.next() % 0x20000) as u32;
-            let dep = (gen.next() % 4) as u8;
-            let flag = gen.next().is_multiple_of(2);
+            let addr = (gen.next_u64() % 0x20000) as u32;
+            let dep = (gen.next_u64() % 4) as u8;
+            let flag = gen.next_u64().is_multiple_of(2);
             let pc = 0x40_0000 + 4 * ((i * 7) % 512);
-            let kind = match gen.next() % 4 {
+            let kind = match gen.next_u64() % 4 {
                 0 => InstrKind::Op { latency: 1 + (addr % 4) as u8 },
                 1 => InstrKind::Load { addr: (0x1000_0000 + u64::from(addr)) & !7 },
                 2 => InstrKind::Store { addr: (0x1000_0000 + u64::from(addr)) & !7 },
@@ -47,7 +35,7 @@ fn trace(gen: &mut Gen) -> Vec<Instr> {
 /// fully-serial execution.
 #[test]
 fn cycles_within_structural_bounds() {
-    let mut gen = Gen(0xB0714D5);
+    let mut gen = SplitMix64::new(0xB0714D5);
     for _ in 0..24 {
         let t = trace(&mut gen);
         let cfg = CpuConfig::paper_eight_way();
@@ -66,7 +54,7 @@ fn cycles_within_structural_bounds() {
 /// increase the cycle count on the same trace.
 #[test]
 fn resources_are_monotone() {
-    let mut gen = Gen(0x2E5);
+    let mut gen = SplitMix64::new(0x2E5);
     for _ in 0..24 {
         let t = trace(&mut gen);
         let small = CpuConfig {
@@ -101,7 +89,7 @@ fn resources_are_monotone() {
 /// (the bypassed walk is never longer).
 #[test]
 fn perfect_policy_dominates_baseline() {
-    let mut gen = Gen(0xD0);
+    let mut gen = SplitMix64::new(0xD0);
     for _ in 0..24 {
         let t = trace(&mut gen);
         let cfg = CpuConfig::paper_eight_way();
@@ -119,10 +107,10 @@ fn perfect_policy_dominates_baseline() {
 /// The instruction budget is respected exactly.
 #[test]
 fn budget_truncates_exactly() {
-    let mut gen = Gen(0xB4D9E7);
+    let mut gen = SplitMix64::new(0xB4D9E7);
     for _ in 0..24 {
         let t = trace(&mut gen);
-        let budget = 1 + gen.next() % 199;
+        let budget = 1 + gen.next_u64() % 199;
         let cfg = CpuConfig::paper_eight_way();
         let mut h = hier();
         let n = t.len() as u64;

@@ -19,17 +19,29 @@
 //! points are buried under the supervisor's job closures and the atomic
 //! write helper, far from anywhere a handle could be threaded through.
 //! Everything injected is logged so the run manifest can report it.
+//!
+//! The plan grammar itself ([`PlanGrammar`]) is shared: `jsn chaos` reads
+//! its `JSN_CHAOS` plan through the same parser with its own clause names.
 
 use std::sync::Mutex;
+
+use trace_synth::hash::{fnv1a, splitmix64};
 
 use crate::json::Json;
 
 /// Environment variable holding the fault plan.
 pub const ENV_FAULT: &str = "JSN_FAULT";
 
-/// Default stall duration when a `stall` clause gives no `:ms` suffix —
-/// comfortably past any reasonable `--deadline`.
-const DEFAULT_STALL_MS: u64 = 30_000;
+/// The `JSN_FAULT` grammar. Clauses are in [`FaultKind`] order.
+static FAULT_GRAMMAR: PlanGrammar = PlanGrammar {
+    env: ENV_FAULT,
+    title: "fault plan",
+    clauses: &["panic", "stall", "torn", "flip"],
+    timed: "stall",
+    // Comfortably past any reasonable `--deadline`.
+    default_ms: 30_000,
+    sites: true,
+};
 
 /// The kinds of fault the plan can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,19 +59,14 @@ pub enum FaultKind {
 impl FaultKind {
     /// Stable name, used both for selection hashing and reporting.
     pub fn name(self) -> &'static str {
-        match self {
-            FaultKind::Panic => "panic",
-            FaultKind::Stall => "stall",
-            FaultKind::Torn => "torn",
-            FaultKind::Flip => "flip",
-        }
+        FAULT_GRAMMAR.clauses[self as usize]
     }
 }
 
-/// How a fault kind chooses its victim sites.
+/// How one clause of a plan chooses its victim sites.
 #[derive(Debug, Clone, PartialEq, Eq)]
-enum Select {
-    /// Never fires (kind absent from the plan).
+pub enum Select {
+    /// Never fires (clause absent from the plan).
     Never,
     /// Fires at roughly `m` out of `n` sites, chosen by seeded hash.
     Ratio(u64, u64),
@@ -68,12 +75,12 @@ enum Select {
 }
 
 impl Select {
-    fn selects(&self, seed: u64, kind: FaultKind, site: &str) -> bool {
+    fn selects(&self, seed: u64, kind: &str, site: &str) -> bool {
         match self {
             Select::Never => false,
             Select::Site(s) => s == site,
             Select::Ratio(m, n) => {
-                let h = splitmix64(seed ^ fnv1a(kind.name()) ^ fnv1a(site));
+                let h = splitmix64(seed ^ fnv1a(kind) ^ fnv1a(site));
                 h % n < *m
             }
         }
@@ -88,165 +95,178 @@ impl Select {
     }
 }
 
-/// A parsed `JSN_FAULT` plan.
+/// A strict seeded-plan grammar: comma-separated `key=value` clauses,
+/// `seed=N` plus one selector per named clause, where a selector is an
+/// `m/n` ratio (fire at ~m of n sites) or, if the grammar allows it, a
+/// literal site name (fire exactly there). One clause accepts a trailing
+/// `:MS` duration. `seed` defaults to 0.
+///
+/// Parsing is strict: unknown or duplicate clauses, selectors that look
+/// like ratios but are not, and malformed durations are all hard errors,
+/// each prefixed by the grammar's environment variable. A long-running
+/// process armed with a subtly-wrong plan would otherwise run for hours
+/// with faults that silently never fire.
+#[derive(Debug, PartialEq, Eq)]
+pub struct PlanGrammar {
+    /// Environment variable the plan is read from; names every error.
+    pub env: &'static str,
+    /// Banner prefix for [`Plan::summary`].
+    pub title: &'static str,
+    /// The selector clause names (besides `seed`), in [`Plan::selects`] order.
+    pub clauses: &'static [&'static str],
+    /// The clause that takes an optional `:MS` duration tail.
+    pub timed: &'static str,
+    /// The duration when the timed clause has no tail.
+    pub default_ms: u64,
+    /// Whether a selector may name a literal site instead of a ratio.
+    pub sites: bool,
+}
+
+/// A plan parsed by [`PlanGrammar::parse`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultPlan {
-    seed: u64,
-    panic: Select,
-    stall: Select,
-    stall_ms: u64,
-    torn: Select,
-    flip: Select,
+pub struct Plan {
+    grammar: &'static PlanGrammar,
+    /// Seed folded into every selection hash.
+    pub seed: u64,
+    /// One selector per grammar clause, in the grammar's order.
+    pub selects: Vec<Select>,
+    /// The timed clause's duration in milliseconds.
+    pub ms: u64,
 }
 
-/// FNV-1a over a string, for site/kind hashing.
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// The splitmix64 finalizer: one well-mixed value per input.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-impl FaultPlan {
-    /// Parse a plan like `seed=42,panic=1/8,stall=1/6:250,torn=1/2,flip=1/4`.
-    ///
-    /// Each fault clause takes either an `m/n` ratio (fire at ~m of n
-    /// sites) or a literal site name (fire exactly there). `stall` accepts
-    /// a trailing `:ms` duration. `seed` defaults to 0.
-    ///
-    /// Parsing is strict: unknown or duplicate clauses, selectors that
-    /// look like ratios but are not, and malformed stall durations are all
-    /// hard errors. A long-running process armed with a subtly-wrong plan
-    /// would otherwise run for hours with faults that silently never fire.
-    pub fn parse(input: &str) -> Result<FaultPlan, String> {
-        let mut plan = FaultPlan {
+impl PlanGrammar {
+    /// Parse a plan like `seed=42,panic=1/8,stall=1/6:250,torn=job`.
+    pub fn parse(&'static self, input: &str) -> Result<Plan, String> {
+        let env = self.env;
+        let mut plan = Plan {
+            grammar: self,
             seed: 0,
-            panic: Select::Never,
-            stall: Select::Never,
-            stall_ms: DEFAULT_STALL_MS,
-            torn: Select::Never,
-            flip: Select::Never,
+            selects: vec![Select::Never; self.clauses.len()],
+            ms: self.default_ms,
         };
         let mut seen: Vec<&str> = Vec::new();
         for clause in input.split(',').map(str::trim).filter(|c| !c.is_empty()) {
             let (key, value) = clause
                 .split_once('=')
-                .ok_or_else(|| format!("{ENV_FAULT}: clause `{clause}` is not `key=value`"))?;
+                .ok_or_else(|| format!("{env}: clause `{clause}` is not `key=value`"))?;
             let key = key.trim();
             if seen.contains(&key) {
                 return Err(format!(
-                    "{ENV_FAULT}: duplicate `{key}` clause (the first would be silently ignored)"
+                    "{env}: duplicate `{key}` clause (the first would be silently ignored)"
                 ));
             }
-            match key {
-                "seed" => {
-                    plan.seed = value
-                        .trim()
-                        .parse()
-                        .map_err(|_| format!("{ENV_FAULT}: bad seed `{value}`"))?;
-                }
-                "panic" => plan.panic = parse_select(value)?,
-                "torn" => plan.torn = parse_select(value)?,
-                "flip" => plan.flip = parse_select(value)?,
-                "stall" => {
-                    // `sel:ms` — the duration is the numeric tail after the
-                    // LAST colon; stall sites are job names, which never
-                    // contain one, so a colon whose tail is not a number is
-                    // a typo (`stall=1/6:25x`), not a site name.
-                    let (sel, ms) = match value.rsplit_once(':') {
-                        Some((head, tail)) => {
-                            let ms = tail.trim().parse::<u64>().map_err(|_| {
-                                format!(
-                                    "{ENV_FAULT}: stall duration `{tail}` is not a \
-                                     millisecond count"
-                                )
-                            })?;
-                            (head, ms)
-                        }
-                        None => (value, DEFAULT_STALL_MS),
-                    };
-                    plan.stall = parse_select(sel)?;
-                    plan.stall_ms = ms;
-                }
-                other => return Err(format!("{ENV_FAULT}: unknown clause `{other}`")),
-            }
             seen.push(key);
+            if key == "seed" {
+                plan.seed =
+                    value.trim().parse().map_err(|_| format!("{env}: bad seed `{value}`"))?;
+                continue;
+            }
+            let slot = self
+                .clauses
+                .iter()
+                .position(|c| *c == key)
+                .ok_or_else(|| format!("{env}: unknown clause `{key}`"))?;
+            let mut selector = value;
+            // `sel:ms` — the duration is the numeric tail after the LAST
+            // colon; site names never contain one, so a colon whose tail
+            // is not a number is a typo (`stall=1/6:25x`), not a site name.
+            if key == self.timed {
+                if let Some((head, tail)) = value.rsplit_once(':') {
+                    plan.ms = tail.trim().parse().map_err(|_| {
+                        format!("{env}: {key} duration `{tail}` is not a millisecond count")
+                    })?;
+                    selector = head;
+                }
+            }
+            plan.selects[slot] = self.parse_select(selector)?;
         }
         Ok(plan)
     }
 
-    /// Read the plan from `JSN_FAULT`; `Ok(None)` when unset or empty.
-    /// A value that is set but unreadable (non-unicode) or malformed is an
-    /// error — never silently ignored.
-    pub fn from_env() -> Result<Option<FaultPlan>, String> {
-        match std::env::var(ENV_FAULT) {
-            Ok(v) if !v.trim().is_empty() => FaultPlan::parse(&v).map(Some),
-            Ok(_) => Ok(None),
-            Err(std::env::VarError::NotPresent) => Ok(None),
+    fn parse_select(&self, value: &str) -> Result<Select, String> {
+        let env = self.env;
+        let value = value.trim();
+        if value.is_empty() {
+            return Err(format!("{env}: empty fault selector"));
+        }
+        // Site names (job names, artifact file names, scenario labels)
+        // never contain `/`, so a slash means the user meant a ratio; a
+        // malformed one (`1/2x`, `a/b`) must not silently become a
+        // never-matching site.
+        let Some((m, n)) = value.split_once('/') else {
+            if self.sites {
+                return Ok(Select::Site(value.to_owned()));
+            }
+            return Err(format!("{env}: selector `{value}` is not an `m/n` ratio"));
+        };
+        let m = m
+            .trim()
+            .parse::<u64>()
+            .map_err(|_| format!("{env}: ratio `{value}` has a bad numerator"))?;
+        let n = n
+            .trim()
+            .parse::<u64>()
+            .map_err(|_| format!("{env}: ratio `{value}` has a bad denominator"))?;
+        if n == 0 {
+            return Err(format!("{env}: ratio `{value}` has zero denominator"));
+        }
+        Ok(Select::Ratio(m, n))
+    }
+
+    /// Read the plan from the grammar's environment variable; `Ok(None)`
+    /// when unset or empty. A value that is set but unreadable
+    /// (non-unicode) or malformed is an error — never silently ignored.
+    pub fn from_env(&'static self) -> Result<Option<Plan>, String> {
+        match std::env::var(self.env) {
+            Ok(v) if !v.trim().is_empty() => self.parse(&v).map(Some),
+            Ok(_) | Err(std::env::VarError::NotPresent) => Ok(None),
             Err(std::env::VarError::NotUnicode(_)) => {
-                Err(format!("{ENV_FAULT}: value is not valid unicode"))
+                Err(format!("{}: value is not valid unicode", self.env))
             }
         }
+    }
+}
+
+impl Plan {
+    /// One-line human description for run banners.
+    pub fn summary(&self) -> String {
+        let mut out = format!("{}: seed={}", self.grammar.title, self.seed);
+        for (name, select) in self.grammar.clauses.iter().zip(&self.selects) {
+            out.push_str(&format!(" {name}={}", select.describe()));
+            if *name == self.grammar.timed {
+                out.push_str(&format!(" ({}ms)", self.ms));
+            }
+        }
+        out
+    }
+}
+
+/// A parsed `JSN_FAULT` plan.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FaultPlan(Plan);
+
+impl FaultPlan {
+    /// Parse a plan like `seed=42,panic=1/8,stall=1/6:250,torn=1/2,flip=1/4`
+    /// under the [`PlanGrammar`] rules. Every clause also takes a literal
+    /// site name; `stall` takes the `:ms` tail (default 30 s).
+    pub fn parse(input: &str) -> Result<FaultPlan, String> {
+        FAULT_GRAMMAR.parse(input).map(FaultPlan)
+    }
+
+    /// Read the plan from `JSN_FAULT`; `Ok(None)` when unset or empty.
+    pub fn from_env() -> Result<Option<FaultPlan>, String> {
+        Ok(FAULT_GRAMMAR.from_env()?.map(FaultPlan))
     }
 
     /// Whether `kind` fires at `site` under this plan.
     pub fn selects(&self, kind: FaultKind, site: &str) -> bool {
-        let sel = match kind {
-            FaultKind::Panic => &self.panic,
-            FaultKind::Stall => &self.stall,
-            FaultKind::Torn => &self.torn,
-            FaultKind::Flip => &self.flip,
-        };
-        sel.selects(self.seed, kind, site)
+        self.0.selects[kind as usize].selects(self.0.seed, kind.name(), site)
     }
 
     /// One-line human description for run banners.
     pub fn summary(&self) -> String {
-        format!(
-            "fault plan: seed={} panic={} stall={} ({}ms) torn={} flip={}",
-            self.seed,
-            self.panic.describe(),
-            self.stall.describe(),
-            self.stall_ms,
-            self.torn.describe(),
-            self.flip.describe(),
-        )
+        self.0.summary()
     }
-}
-
-fn parse_select(value: &str) -> Result<Select, String> {
-    let value = value.trim();
-    if value.is_empty() {
-        return Err(format!("{ENV_FAULT}: empty fault selector"));
-    }
-    // Site names (job names, artifact file names, scenario labels) never
-    // contain `/`, so a slash means the user meant a ratio; a malformed
-    // one (`1/2x`, `a/b`) must not silently become a never-matching site.
-    if let Some((m, n)) = value.split_once('/') {
-        let m = m
-            .trim()
-            .parse::<u64>()
-            .map_err(|_| format!("{ENV_FAULT}: ratio `{value}` has a bad numerator"))?;
-        let n = n
-            .trim()
-            .parse::<u64>()
-            .map_err(|_| format!("{ENV_FAULT}: ratio `{value}` has a bad denominator"))?;
-        if n == 0 {
-            return Err(format!("{ENV_FAULT}: ratio `{value}` has zero denominator"));
-        }
-        return Ok(Select::Ratio(m, n));
-    }
-    Ok(Select::Site(value.to_owned()))
 }
 
 /// One fault the plan actually fired, for the run manifest.
@@ -300,8 +320,8 @@ pub fn before_job(site: &str, attempt: u32) {
     let Some(plan) = active() else { return };
     if plan.selects(FaultKind::Stall, site) {
         record(FaultKind::Stall, site);
-        eprintln!("fault: stalling job `{site}` for {}ms", plan.stall_ms);
-        std::thread::sleep(std::time::Duration::from_millis(plan.stall_ms));
+        eprintln!("fault: stalling job `{site}` for {}ms", plan.0.ms);
+        std::thread::sleep(std::time::Duration::from_millis(plan.0.ms));
     }
     if plan.selects(FaultKind::Panic, site) {
         record(FaultKind::Panic, site);
@@ -335,7 +355,7 @@ pub fn flip_seed(site: &str) -> Option<u64> {
         return None;
     }
     record(FaultKind::Flip, site);
-    Some(splitmix64(plan.seed ^ fnv1a("flip-seed") ^ fnv1a(site)))
+    Some(splitmix64(plan.0.seed ^ fnv1a("flip-seed") ^ fnv1a(site)))
 }
 
 /// Serializes tests (across this crate) that mutate the process-global
@@ -350,13 +370,14 @@ mod tests {
     #[test]
     fn parses_the_full_grammar() {
         let p = FaultPlan::parse("seed=42, panic=1/8, stall=1/6:250, torn=1/2, flip=1/4").unwrap();
-        assert_eq!(p.seed, 42);
-        assert_eq!(p.panic, Select::Ratio(1, 8));
-        assert_eq!(p.stall, Select::Ratio(1, 6));
-        assert_eq!(p.stall_ms, 250);
-        assert_eq!(p.torn, Select::Ratio(1, 2));
-        assert_eq!(p.flip, Select::Ratio(1, 4));
-        assert!(p.summary().contains("panic=1/8"));
+        assert_eq!(p.0.seed, 42);
+        let ratios = [(1, 8), (1, 6), (1, 2), (1, 4)].map(|(m, n)| Select::Ratio(m, n));
+        assert_eq!(p.0.selects, ratios);
+        assert_eq!(p.0.ms, 250);
+        assert_eq!(
+            p.summary(),
+            "fault plan: seed=42 panic=1/8 stall=1/6 (250ms) torn=1/2 flip=1/4"
+        );
     }
 
     #[test]
@@ -365,7 +386,7 @@ mod tests {
         assert!(p.selects(FaultKind::Panic, "fig15_execution_reduction"));
         assert!(!p.selects(FaultKind::Panic, "fig16_power_reduction"));
         assert!(p.selects(FaultKind::Stall, "table2"));
-        assert_eq!(p.stall_ms, 90);
+        assert_eq!(p.0.ms, 90);
     }
 
     #[test]
@@ -395,31 +416,39 @@ mod tests {
         assert_ne!(pick(&a), pick(&b));
     }
 
+    /// Pinned selections and flip seeds: a replayed fault plan must fire
+    /// exactly where it fired before.
     #[test]
-    fn rejects_malformed_plans() {
-        for bad in ["panic", "wat=1/2", "seed=x", "panic=1/0", "torn="] {
-            assert!(FaultPlan::parse(bad).is_err(), "accepted {bad:?}");
-        }
+    fn selection_known_answers() {
+        let p = FaultPlan::parse("seed=7,panic=1/5,stall=1/8:40000,torn=1/2,flip=1/3").unwrap();
+        let mask = |kind: FaultKind| -> u32 {
+            (0..32).filter(|i| p.selects(kind, &format!("job{i}"))).fold(0, |m, i| m | 1 << i)
+        };
+        assert_eq!(mask(FaultKind::Panic), 0x0010_2002);
+        assert_eq!(mask(FaultKind::Stall), 0x0484_0000);
+        assert_eq!(mask(FaultKind::Torn), 0xd71d_554e);
+        assert_eq!(mask(FaultKind::Flip), 0x0090_950d);
+
+        let _guard = TEST_LOCK.lock().unwrap();
+        install(Some(FaultPlan::parse("seed=5,flip=1/1").unwrap()));
+        assert_eq!(flip_seed("TMNM_12x3:aliasing:0x10"), Some(0x6c7e_a272_4e81_eade));
+        assert_eq!(flip_seed("job1"), Some(0xdcad_e074_c117_2541));
+        install(None);
     }
 
-    /// Misconfigurations that used to silently degrade into selectors
-    /// that never fire must now be hard parse errors (a long-running
-    /// server would otherwise discover the typo hours in, as a no-op).
+    /// The site and duration shapes only `JSN_FAULT` accepts. Malformed
+    /// plans are covered by the reject table shared with `JSN_CHAOS` in
+    /// the serve crate's chaos tests.
     #[test]
-    fn rejects_silently_inert_plans() {
-        for bad in [
-            "panic=1/2x",          // almost-ratio became Site("1/2x")
-            "torn=a/b",            // slash always means ratio
-            "stall=1/6:25x",       // malformed ms tail became a site name
-            "stall=1/6:",          // empty ms tail likewise
-            "panic=1/4,panic=1/2", // duplicate clause: first one ignored
+    fn accepts_site_and_duration_shapes() {
+        for good in [
+            "stall=fig12_tmnm_coverage",
+            "stall=fig12_tmnm_coverage:90",
+            "stall=1/6:250,panic=1/8",
+            "flip=TMNM_12x1:aliasing:0x10",
         ] {
-            assert!(FaultPlan::parse(bad).is_err(), "accepted {bad:?}");
+            assert!(FaultPlan::parse(good).is_ok(), "rejected {good:?}");
         }
-        // The well-formed shapes all still parse.
-        assert!(FaultPlan::parse("stall=fig12_tmnm_coverage").is_ok());
-        assert!(FaultPlan::parse("stall=fig12_tmnm_coverage:90").is_ok());
-        assert!(FaultPlan::parse("stall=1/6:250,panic=1/8").is_ok());
     }
 
     #[test]

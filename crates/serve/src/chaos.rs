@@ -3,17 +3,17 @@
 //!
 //! Sits between `jsn slam` and `jsn serve`, relaying bytes in both
 //! directions while injecting faults decided **purely** by a seeded
-//! plan — the `JSN_CHAOS` environment variable, mirroring the
-//! `JSN_FAULT` grammar of the offline experiment runner:
+//! plan — the `JSN_CHAOS` environment variable, read by the same
+//! strict parser as the offline experiment runner's `JSN_FAULT`
+//! ([`PlanGrammar`]):
 //!
 //! ```text
 //! JSN_CHAOS=seed=42,tear=1/24,delay=1/16:5,drop=1/64,corrupt=1/24,dup=1/32
 //! ```
 //!
 //! Each clause is an `m/n` ratio; `delay` takes a trailing `:ms`
-//! duration. Parsing is strict (unknown, duplicate, or malformed
-//! clauses are hard errors), because a soak armed with a typo'd plan
-//! would otherwise run clean and prove nothing.
+//! duration. A soak armed with a typo'd plan would run clean and prove
+//! nothing, so every malformed plan is a hard error.
 //!
 //! ## Determinism
 //!
@@ -71,6 +71,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use mnm_experiments::faults::{Plan, PlanGrammar, Select};
+use trace_synth::hash::{fnv1a, splitmix64};
+
 use crate::server::{Conn, Endpoint};
 use crate::signal;
 
@@ -82,8 +85,15 @@ pub const ENV_CHAOS: &str = "JSN_CHAOS";
 /// chunking cannot move a fault.
 pub const CELL: u64 = 1024;
 
-/// Default stall when a `delay` clause gives no `:ms` suffix.
-const DEFAULT_DELAY_MS: u64 = 5;
+/// The `JSN_CHAOS` grammar. Clauses are in [`ChaosKind`] order.
+static CHAOS_GRAMMAR: PlanGrammar = PlanGrammar {
+    env: ENV_CHAOS,
+    title: "chaos plan",
+    clauses: &["corrupt", "dup", "delay", "tear", "drop"],
+    timed: "delay",
+    default_ms: 5,
+    sites: false,
+};
 
 /// Socket poll tick for the relay loops.
 const TICK: Duration = Duration::from_millis(20);
@@ -106,13 +116,7 @@ pub enum ChaosKind {
 impl ChaosKind {
     /// Stable name, used both for decision hashing and the log.
     pub fn name(self) -> &'static str {
-        match self {
-            ChaosKind::Corrupt => "corrupt",
-            ChaosKind::Dup => "dup",
-            ChaosKind::Delay => "delay",
-            ChaosKind::Tear => "tear",
-            ChaosKind::Drop => "drop",
-        }
+        CHAOS_GRAMMAR.clauses[self as usize]
     }
 
     const ALL: [ChaosKind; 5] =
@@ -137,34 +141,10 @@ impl Direction {
     }
 }
 
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A parsed `JSN_CHAOS` plan: a seed plus one optional `m/n` ratio per
 /// fault kind.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChaosPlan {
-    seed: u64,
-    corrupt: Option<(u64, u64)>,
-    dup: Option<(u64, u64)>,
-    delay: Option<(u64, u64)>,
-    delay_ms: u64,
-    tear: Option<(u64, u64)>,
-    drop: Option<(u64, u64)>,
-}
+pub struct ChaosPlan(Plan);
 
 /// One scheduled fault inside a cell: where, and what.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,101 +155,35 @@ struct CellFault {
 }
 
 impl ChaosPlan {
-    /// Parse a plan like `seed=42,tear=1/24,delay=1/16:5,corrupt=1/24`.
-    ///
-    /// Each fault clause takes an `m/n` ratio (fire in ~m of n cells);
-    /// `delay` accepts a trailing `:ms` duration. `seed` defaults to 0.
-    ///
-    /// Parsing is strict, like `JSN_FAULT`: unknown or duplicate
-    /// clauses, malformed ratios, and bad delay durations are hard
-    /// errors — a chaos soak with a silently inert plan would pass
-    /// while proving nothing.
+    /// Parse a plan like `seed=42,tear=1/24,delay=1/16:5,corrupt=1/24`
+    /// under the shared [`PlanGrammar`] rules. Every fault clause takes an
+    /// `m/n` ratio (fire in ~m of n cells), never a site name; `delay`
+    /// takes the `:ms` tail.
     pub fn parse(input: &str) -> Result<ChaosPlan, String> {
-        let mut plan = ChaosPlan {
-            seed: 0,
-            corrupt: None,
-            dup: None,
-            delay: None,
-            delay_ms: DEFAULT_DELAY_MS,
-            tear: None,
-            drop: None,
-        };
-        let mut seen: Vec<&str> = Vec::new();
-        for clause in input.split(',').map(str::trim).filter(|c| !c.is_empty()) {
-            let (key, value) = clause
-                .split_once('=')
-                .ok_or_else(|| format!("{ENV_CHAOS}: clause `{clause}` is not `key=value`"))?;
-            let key = key.trim();
-            if seen.contains(&key) {
-                return Err(format!(
-                    "{ENV_CHAOS}: duplicate `{key}` clause (the first would be silently ignored)"
-                ));
-            }
-            match key {
-                "seed" => {
-                    plan.seed = value
-                        .trim()
-                        .parse()
-                        .map_err(|_| format!("{ENV_CHAOS}: bad seed `{value}`"))?;
-                }
-                "corrupt" => plan.corrupt = Some(parse_ratio(value)?),
-                "dup" => plan.dup = Some(parse_ratio(value)?),
-                "tear" => plan.tear = Some(parse_ratio(value)?),
-                "drop" => plan.drop = Some(parse_ratio(value)?),
-                "delay" => {
-                    let (sel, ms) = match value.rsplit_once(':') {
-                        Some((head, tail)) => {
-                            let ms = tail.trim().parse::<u64>().map_err(|_| {
-                                format!(
-                                    "{ENV_CHAOS}: delay duration `{tail}` is not a \
-                                     millisecond count"
-                                )
-                            })?;
-                            (head, ms)
-                        }
-                        None => (value, DEFAULT_DELAY_MS),
-                    };
-                    plan.delay = Some(parse_ratio(sel)?);
-                    plan.delay_ms = ms;
-                }
-                other => return Err(format!("{ENV_CHAOS}: unknown clause `{other}`")),
-            }
-            seen.push(key);
-        }
-        Ok(plan)
+        CHAOS_GRAMMAR.parse(input).map(ChaosPlan)
     }
 
     /// Read the plan from `JSN_CHAOS`; `Ok(None)` when unset or empty.
     pub fn from_env() -> Result<Option<ChaosPlan>, String> {
-        match std::env::var(ENV_CHAOS) {
-            Ok(v) if !v.trim().is_empty() => ChaosPlan::parse(&v).map(Some),
-            Ok(_) => Ok(None),
-            Err(std::env::VarError::NotPresent) => Ok(None),
-            Err(std::env::VarError::NotUnicode(_)) => {
-                Err(format!("{ENV_CHAOS}: value is not valid unicode"))
-            }
-        }
+        Ok(CHAOS_GRAMMAR.from_env()?.map(ChaosPlan))
     }
 
     /// The configured delay duration.
     pub fn delay_ms(&self) -> u64 {
-        self.delay_ms
+        self.0.ms
     }
 
     fn ratio(&self, kind: ChaosKind) -> Option<(u64, u64)> {
-        match kind {
-            ChaosKind::Corrupt => self.corrupt,
-            ChaosKind::Dup => self.dup,
-            ChaosKind::Delay => self.delay,
-            ChaosKind::Tear => self.tear,
-            ChaosKind::Drop => self.drop,
+        match self.0.selects[kind as usize] {
+            Select::Ratio(m, n) => Some((m, n)),
+            _ => None,
         }
     }
 
     /// The per-kind decision hash for one cell of one stream.
     fn cell_hash(&self, kind: ChaosKind, conn: u64, dir: Direction, cell: u64) -> u64 {
         splitmix64(
-            self.seed
+            self.0.seed
                 ^ fnv1a(kind.name())
                 ^ fnv1a(dir.name())
                 ^ splitmix64(conn).rotate_left(17)
@@ -296,40 +210,8 @@ impl ChaosPlan {
 
     /// One-line human description for run banners.
     pub fn summary(&self) -> String {
-        let fmt = |r: Option<(u64, u64)>| match r {
-            Some((m, n)) => format!("{m}/{n}"),
-            None => "off".to_string(),
-        };
-        format!(
-            "chaos plan: seed={} corrupt={} dup={} delay={} ({}ms) tear={} drop={}",
-            self.seed,
-            fmt(self.corrupt),
-            fmt(self.dup),
-            fmt(self.delay),
-            self.delay_ms,
-            fmt(self.tear),
-            fmt(self.drop),
-        )
+        self.0.summary()
     }
-}
-
-fn parse_ratio(value: &str) -> Result<(u64, u64), String> {
-    let value = value.trim();
-    let (m, n) = value
-        .split_once('/')
-        .ok_or_else(|| format!("{ENV_CHAOS}: selector `{value}` is not an `m/n` ratio"))?;
-    let m = m
-        .trim()
-        .parse::<u64>()
-        .map_err(|_| format!("{ENV_CHAOS}: ratio `{value}` has a bad numerator"))?;
-    let n = n
-        .trim()
-        .parse::<u64>()
-        .map_err(|_| format!("{ENV_CHAOS}: ratio `{value}` has a bad denominator"))?;
-    if n == 0 {
-        return Err(format!("{ENV_CHAOS}: ratio `{value}` has zero denominator"));
-    }
-    Ok((m, n))
 }
 
 /// One fault the proxy actually fired.
@@ -621,7 +503,7 @@ fn relay(
                         fired,
                         FiredFault { conn: conn_id, dir, offset: fault.offset, kind: fault.kind },
                     );
-                    std::thread::sleep(Duration::from_millis(plan.delay_ms));
+                    std::thread::sleep(Duration::from_millis(plan.delay_ms()));
                 }
                 ChaosKind::Corrupt => {
                     out.extend_from_slice(&chunk[(cursor - start) as usize..rel]);
@@ -700,28 +582,56 @@ mod tests {
         let p =
             ChaosPlan::parse("seed=42, tear=1/24, delay=1/16:5, drop=1/64, corrupt=1/24, dup=1/32")
                 .unwrap();
-        assert_eq!(p.seed, 42);
-        assert_eq!(p.tear, Some((1, 24)));
-        assert_eq!(p.delay, Some((1, 16)));
-        assert_eq!(p.delay_ms, 5);
-        assert_eq!(p.drop, Some((1, 64)));
-        assert_eq!(p.corrupt, Some((1, 24)));
-        assert_eq!(p.dup, Some((1, 32)));
-        assert!(p.summary().contains("tear=1/24"));
+        assert_eq!(p.0.seed, 42);
+        assert_eq!(p.ratio(ChaosKind::Tear), Some((1, 24)));
+        assert_eq!(p.ratio(ChaosKind::Delay), Some((1, 16)));
+        assert_eq!(p.delay_ms(), 5);
+        assert_eq!(p.ratio(ChaosKind::Drop), Some((1, 64)));
+        assert_eq!(p.ratio(ChaosKind::Corrupt), Some((1, 24)));
+        assert_eq!(p.ratio(ChaosKind::Dup), Some((1, 32)));
+        assert_eq!(
+            p.summary(),
+            "chaos plan: seed=42 corrupt=1/24 dup=1/32 delay=1/16 (5ms) tear=1/24 drop=1/64"
+        );
+    }
+
+    /// Malformed plans, written over placeholder clause names: `{k}` is a
+    /// plain fault clause and `{t}` the timed one. Both grammars must
+    /// reject every entry and name their own environment variable.
+    #[test]
+    fn both_plan_grammars_reject_the_same_malformed_plans() {
+        const MALFORMED: [&str; 11] = [
+            "{k}",           // not key=value
+            "wat=1/2",       // unknown clause
+            "seed=x",        // bad seed
+            "{k}=1/0",       // zero denominator
+            "{k}=",          // empty selector
+            "{k}=1/2x",      // almost-ratio, not a site
+            "{k}=a/b",       // a slash always means a ratio
+            "{t}=1/6:25x",   // malformed ms tail, not a site
+            "{t}=1/6:",      // empty ms tail
+            "{k}=1/4,{k}=1", // duplicate clause
+            "seed=1,seed=2", // duplicate seed
+        ];
+        let reject_all =
+            |env: &str, k: &str, t: &str, parse: &dyn Fn(&str) -> Result<(), String>| {
+                for template in MALFORMED {
+                    let plan = template.replace("{k}", k).replace("{t}", t);
+                    match parse(&plan) {
+                        Ok(()) => panic!("{env} accepted {plan:?}"),
+                        Err(e) => assert!(e.starts_with(&format!("{env}: ")), "{plan:?}: {e}"),
+                    }
+                }
+            };
+        reject_all("JSN_FAULT", "panic", "stall", &|p| {
+            mnm_experiments::faults::FaultPlan::parse(p).map(drop)
+        });
+        reject_all("JSN_CHAOS", "tear", "delay", &|p| ChaosPlan::parse(p).map(drop));
     }
 
     #[test]
-    fn rejects_malformed_plans() {
-        for bad in [
-            "tear",            // not key=value
-            "wat=1/2",         // unknown clause
-            "seed=x",          // bad seed
-            "tear=1/0",        // zero denominator
-            "corrupt=",        // empty ratio
-            "corrupt=site",    // chaos has no site selectors
-            "delay=1/6:25x",   // malformed ms tail
-            "tear=1/4,tear=1", // duplicate clause
-        ] {
+    fn rejects_site_selectors() {
+        for bad in ["corrupt=site", "delay=site:5"] {
             assert!(ChaosPlan::parse(bad).is_err(), "accepted {bad:?}");
         }
         assert!(ChaosPlan::parse("").is_ok(), "an empty plan relays clean");
@@ -745,6 +655,51 @@ mod tests {
         // A 1/4 ratio over 256 cells fires a nontrivial subset.
         let hits = c2s.iter().filter(|f| !f.is_empty()).count();
         assert!(hits > 16 && hits < 240, "{hits} of 256 cells faulted");
+    }
+
+    /// Pinned schedule for the CI corrupt profile: a replayed chaos plan
+    /// must fire the same faults at the same offsets.
+    #[test]
+    fn cell_schedule_known_answers() {
+        use ChaosKind::{Corrupt, Delay, Dup};
+        let p = ChaosPlan::parse("seed=3,corrupt=1/8,dup=1/16,delay=1/6:1").unwrap();
+        let schedule = |dir: Direction| -> Vec<(u64, ChaosKind)> {
+            (0..32).flat_map(|c| p.cell_faults(1, dir, c)).map(|f| (f.offset, f.kind)).collect()
+        };
+        assert_eq!(
+            schedule(Direction::ClientToServer),
+            [
+                (6697, Delay),
+                (7248, Delay),
+                (9080, Dup),
+                (9237, Corrupt),
+                (11247, Delay),
+                (11697, Corrupt),
+                (13032, Delay),
+                (18862, Corrupt),
+                (19494, Delay),
+                (20101, Corrupt),
+                (22794, Corrupt),
+            ]
+        );
+        assert_eq!(
+            schedule(Direction::ServerToClient),
+            [
+                (46, Delay),
+                (3844, Delay),
+                (4829, Delay),
+                (7328, Dup),
+                (11642, Delay),
+                (14457, Dup),
+                (16793, Delay),
+                (17038, Corrupt),
+                (19012, Corrupt),
+                (26113, Delay),
+                (26389, Dup),
+                (30070, Corrupt),
+                (31204, Corrupt),
+            ]
+        );
     }
 
     #[test]

@@ -32,6 +32,7 @@ use std::io::{Read, Write};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use trace_synth::hash::splitmix64;
 use trace_synth::{profiles, Instr, Program};
 
 use crate::protocol::{
@@ -149,13 +150,6 @@ impl SlamReport {
     pub fn dropped_frames(&self) -> u64 {
         self.frames_sent.saturating_sub(self.frames_resent).saturating_sub(self.frames_acked)
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// The deterministic trace for slam session `k`: one of the 20
@@ -743,6 +737,25 @@ pub fn format_report(report: &SlamReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Profile pick and seed of the first sessions, pinned: the served
+    /// verdicts `--verify` compares against depend on both.
+    #[test]
+    fn session_instrs_known_answers() {
+        let sessions = [
+            (0, "255.vortex", 0x63cb_e1e4_5932_0dd7),
+            (1, "176.gcc", 0xfae3_3298_a839_9d50),
+            (2, "256.bzip2", 0x2f8e_49d4_6b1e_0ff9),
+            (3, "253.perlbmk", 0x71a0_ee56_7f82_dcc1),
+            (4, "173.applu", 0x8caf_47e8_e25d_dcae),
+        ];
+        for (k, name, seed) in sessions {
+            let mut profile = profiles::by_name(name).unwrap();
+            profile.seed = seed;
+            let want: Vec<Instr> = Program::new(profile).take(64).collect();
+            assert_eq!(session_instrs(7, k, 64), want, "session {k}");
+        }
+    }
 
     #[test]
     fn session_instrs_are_deterministic_and_distinct() {

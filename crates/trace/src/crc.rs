@@ -131,14 +131,10 @@ mod tests {
 
     /// Deterministic test bytes (splitmix64 output, little-endian).
     fn test_bytes(len: usize, seed: u64) -> Vec<u8> {
-        let mut state = seed;
+        let mut stream = crate::hash::SplitMix64::new(seed);
         let mut out = Vec::with_capacity(len + 8);
         while out.len() < len {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            out.extend_from_slice(&(z ^ (z >> 31)).to_le_bytes());
+            out.extend_from_slice(&stream.next_u64().to_le_bytes());
         }
         out.truncate(len);
         out

@@ -44,6 +44,7 @@ mod regions;
 mod rng;
 mod stats;
 
+pub mod hash;
 pub mod profiles;
 pub mod sharing;
 

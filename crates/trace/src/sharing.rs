@@ -13,6 +13,7 @@
 //! This feeds the `jsn shard` multi-core simulation: shared lines are
 //! what cross-core stores and shared-L3 replacements fight over.
 
+use crate::hash::splitmix64;
 use crate::program::{AppProfile, Program};
 use crate::record::{Instr, InstrKind};
 
@@ -69,13 +70,6 @@ pub const PRIVATE_BASE: u64 = 0x6000_0000_0000;
 /// Distance between consecutive cores' private windows (larger than any
 /// profile's data footprint).
 pub const PRIVATE_STRIDE: u64 = 0x0100_0000_0000;
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// One core's remapped instruction stream.
 #[derive(Debug)]
@@ -177,6 +171,29 @@ mod tests {
             }
         }
         out
+    }
+
+    /// The remap and the per-core seeds, pinned: sharded streams (and the
+    /// benchmark's recorded digests) depend on both.
+    #[test]
+    fn remap_known_answers() {
+        let prof = profiles::by_name("181.mcf").unwrap();
+        let mut programs = sharded_programs(&prof, &spec(2, 0.5));
+        let remaps = [
+            (0x1000, 0x5000_0000_be40, 0x5000_0000_be40),
+            (0x1040, 0x6000_0000_1040, 0x6100_0000_1040),
+            (0x2_0008, 0x5000_0001_a408, 0x5000_0001_a408),
+            (0xdead_beef, 0x6000_dead_beef, 0x6100_dead_beef),
+        ];
+        for (addr, core0, core1) in remaps {
+            assert_eq!((programs[0].remap(addr), programs[1].remap(addr)), (core0, core1));
+        }
+        assert_eq!(programs[0].program.profile().seed ^ prof.seed, 0xbd64_a5d9_adef_e000);
+        assert_eq!(programs[1].program.profile().seed ^ prof.seed, 0x6303_3b0c_a389_c35a);
+        assert_eq!(
+            data_addrs(&mut programs[1], 4),
+            [0x6100_1000_0788, 0x5000_0000_5950, 0x5000_0000_da00, 0x6100_1021_5bc0]
+        );
     }
 
     #[test]

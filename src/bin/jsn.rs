@@ -96,11 +96,11 @@ fn print_help() {
          shard runs an epoch-synchronized N-core simulation: per-core\n\
          private L1/L2 + MNM filters over one shared L3, with cross-core\n\
          store and L3-victim invalidations driven through the filter event\n\
-         stream. Defaults come from JSN_CORES/JSN_EPOCH/JSN_SHARING. The\n\
-         default engine is pipelined (cores compute epoch E+1 while a\n\
-         resolver thread drains epoch E); `--pipeline off` selects the\n\
-         stop-the-world barrier baseline and `--single` the single-threaded\n\
-         reference — all three are bit-identical by contract. `--epoch auto`\n\
+         stream. The default engine is pipelined (cores compute epoch E+1\n\
+         while a resolver thread drains epoch E); `--pipeline off` selects\n\
+         the stop-the-world barrier baseline and `--single` the\n\
+         single-threaded reference — all three are bit-identical by\n\
+         contract. `--epoch auto`\n\
          calibrates the epoch length before the run; `--bench` times all\n\
          engines over identical streams and verifies identity; `--check`\n\
          sweeps adversarial sharing workloads (pingpong, falsesharing,\n\
@@ -723,9 +723,8 @@ fn cmd_shard(args: &[String]) -> ExitCode {
     }
 }
 
-/// `jsn shard`: the epoch-synchronized N-core simulation. Environment
-/// knobs `JSN_CORES`, `JSN_EPOCH`, and `JSN_SHARING` provide defaults
-/// for `--cores`, `--epoch`, and `--sharing`.
+/// `jsn shard`: the epoch-synchronized N-core simulation. Flags are
+/// parsed strictly: an unknown option or a missing value is an error.
 fn run_shard(args: &[String]) -> Result<ExitCode, String> {
     use just_say_no::mnm_check::{run_multicore_scenario, run_multicore_suite, MulticoreScenario};
     use just_say_no::mnm_core::MnmConfig;
@@ -734,19 +733,28 @@ fn run_shard(args: &[String]) -> Result<ExitCode, String> {
     };
     use just_say_no::trace_synth::sharing::SharingSpec;
 
-    let env_num = |name: &str| std::env::var(name).ok().and_then(|v| v.parse::<u64>().ok());
-    let cores = parse_n(args, "--cores", env_num("JSN_CORES").unwrap_or(4))? as usize;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--app" | "--cores" | "-n" | "--epoch" | "--sharing" | "--config" | "--seed"
+            | "--pipeline" | "--workload" => {
+                it.next().ok_or_else(|| format!("{arg} needs a value"))?;
+            }
+            "--single" | "--json" | "--bench" | "--check" | "--quick" => {}
+            other => return Err(format!("unknown shard option `{other}` (try `jsn help`)")),
+        }
+    }
+    let cores = parse_n(args, "--cores", 4)? as usize;
     // `--epoch` accepts a length or `auto` (calibrate before the run).
-    let epoch_arg =
-        parse_opt(args, "--epoch").map(str::to_owned).or_else(|| std::env::var("JSN_EPOCH").ok());
-    let epoch_auto = epoch_arg.as_deref() == Some("auto");
-    let epoch = match epoch_arg.as_deref() {
+    let epoch_arg = parse_opt(args, "--epoch");
+    let epoch_auto = epoch_arg == Some("auto");
+    let epoch = match epoch_arg {
         None | Some("auto") => 2048,
         Some(text) => parse_flag_num(text, "--epoch")?,
     };
     let sharing: f64 = match parse_opt(args, "--sharing") {
         Some(text) => text.parse().map_err(|_| format!("--sharing {text}: expected a ratio"))?,
-        None => std::env::var("JSN_SHARING").ok().and_then(|v| v.parse().ok()).unwrap_or(0.25),
+        None => 0.25,
     };
     let label = parse_opt(args, "--config").unwrap_or("HMNM4");
     let seed = match parse_opt(args, "--seed") {

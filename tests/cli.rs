@@ -142,3 +142,36 @@ fn diff_rejects_missing_and_malformed_input() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("two JSON files"));
 }
+
+#[test]
+fn shard_rejects_unknown_flags() {
+    // A typo'd flag must not silently run a different engine.
+    let out = jsn(&["shard", "--cores", "2", "-n", "20000", "--pipline", "off"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown shard option `--pipline`"));
+    let out = jsn(&["shard", "--cores"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--cores needs a value"));
+}
+
+#[test]
+fn shard_takes_no_environment_defaults() {
+    // `--cores`, `--epoch` and `--sharing` are the only way to set these:
+    // the environment, well-formed or not, changes nothing.
+    let shard = |env: &[(&str, &str)]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_jsn"))
+            .args(["shard", "-n", "20000", "--single", "--json"])
+            .envs(env.iter().copied())
+            .output()
+            .expect("jsn runs");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        text.lines().filter(|l| !l.contains("\"timing\"")).collect::<Vec<_>>().join("\n")
+    };
+    let plain = shard(&[]);
+    assert!(plain.contains("\"cores\": 4,"), "{plain}");
+    assert!(plain.contains("\"epoch\": 2048,"), "{plain}");
+    assert!(plain.contains("\"sharing_ratio\": 0.25,"), "{plain}");
+    assert_eq!(shard(&[("JSN_CORES", "abc")]), plain);
+    assert_eq!(shard(&[("JSN_CORES", "2"), ("JSN_EPOCH", "64"), ("JSN_SHARING", "0.9")]), plain);
+}

@@ -7,6 +7,7 @@
 
 use cache_sim::{ProbeOutcome, ReplayScratch};
 use just_say_no::prelude::*;
+use trace_synth::hash::SplitMix64;
 
 const CONFIGS: [&str; 10] = [
     "RMNM_128_1",
@@ -21,16 +22,12 @@ const CONFIGS: [&str; 10] = [
     "HMNM4",
 ];
 
-/// Minimal deterministic generator for test inputs (splitmix64).
-struct Gen(u64);
+/// Test-input generator: a SplitMix64 stream plus input shapes.
+struct Gen(SplitMix64);
 
 impl Gen {
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.0.next_u64()
     }
 
     /// A random access within a tight (conflict-heavy) arena.
@@ -71,7 +68,7 @@ fn tiny_hierarchy() -> Hierarchy {
 /// technique, on every prefix of every random trace.
 #[test]
 fn no_technique_ever_flags_a_resident_block() {
-    let mut gen = Gen(0x50124D);
+    let mut gen = Gen(SplitMix64::new(0x50124D));
     for case in 0..48u64 {
         let config = CONFIGS[(case % CONFIGS.len() as u64) as usize];
         let trace = gen.trace(600);
@@ -105,7 +102,7 @@ fn no_technique_ever_flags_a_resident_block() {
 /// probes of structures that would have missed anyway.
 #[test]
 fn bypassing_is_functionally_invisible() {
-    let mut gen = Gen(0x14715);
+    let mut gen = Gen(SplitMix64::new(0x14715));
     for case in 0..48u64 {
         let config = CONFIGS[(case % CONFIGS.len() as u64) as usize];
         let trace = gen.trace(400);
@@ -126,7 +123,7 @@ fn bypassing_is_functionally_invisible() {
 /// probed misses left are L1 misses.
 #[test]
 fn perfect_oracle_is_exact() {
-    let mut gen = Gen(0x0124C1E);
+    let mut gen = Gen(SplitMix64::new(0x0124C1E));
     for _ in 0..48 {
         let trace = gen.trace(400);
         let mut hier = tiny_hierarchy();
@@ -147,7 +144,7 @@ fn perfect_oracle_is_exact() {
 /// Flushing both sides resets to a consistent (all-cold) state.
 #[test]
 fn flush_restores_consistency() {
-    let mut gen = Gen(0xF1054);
+    let mut gen = Gen(SplitMix64::new(0xF1054));
     for _ in 0..48 {
         let trace = gen.trace(200);
         let mut hier = tiny_hierarchy();

@@ -5,17 +5,14 @@
 
 use cache_sim::{TlbConfig, TlbEvent, TwoLevelTlb};
 use mnm_core::{MissFilter, TmnmConfig, TmnmFilter};
+use trace_synth::hash::SplitMix64;
 
-/// Minimal deterministic generator for test inputs (splitmix64).
-struct Gen(u64);
+/// Test-input generator: a SplitMix64 stream plus input shapes.
+struct Gen(SplitMix64);
 
 impl Gen {
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.0.next_u64()
     }
 
     fn pages(&mut self, max_len: u64) -> Vec<u64> {
@@ -33,7 +30,7 @@ fn tiny_tlb() -> TwoLevelTlb {
 /// debug_assert double-checks).
 #[test]
 fn tlb_filter_never_flags_resident_translations() {
-    let mut gen = Gen(0x71B);
+    let mut gen = Gen(SplitMix64::new(0x71B));
     for _ in 0..48 {
         let pages = gen.pages(500);
         let mut tlb = tiny_tlb();
@@ -61,7 +58,7 @@ fn tlb_filter_never_flags_resident_translations() {
 /// same number of page walks and the same final L2 residency.
 #[test]
 fn tlb_filtering_never_changes_walk_count() {
-    let mut gen = Gen(0x71B2);
+    let mut gen = Gen(SplitMix64::new(0x71B2));
     for _ in 0..48 {
         let pages = gen.pages(400);
         let mut plain = tiny_tlb();
