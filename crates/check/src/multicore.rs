@@ -25,10 +25,9 @@
 //!   condition than the simulator's resolution-time classification.
 //!
 //! Every scenario additionally verifies **engine identity**: the
-//! pipelined and barrier drivers must reproduce the observed
-//! single-threaded run bit-for-bit (the report equality that proves the
-//! SPSC handoff and the overlap of compute with resolution change
-//! nothing observable).
+//! pipelined engine must reproduce the observed single-threaded run
+//! bit-for-bit (the report equality that proves the SPSC handoff and the
+//! overlap of compute with resolution change nothing observable).
 //!
 //! Adversarial workloads concentrate on the cross-core races:
 //! producer/consumer ping-pong over a handful of shared lines, false
@@ -425,15 +424,11 @@ pub fn run_multicore_scenario(scenario: &MulticoreScenario) -> Result<MulticoreR
             ));
         }
     }
-    // Engine identity: both parallel drivers must reproduce the observed
+    // Engine identity: the pipelined engine must reproduce the observed
     // single-threaded run bit-for-bit.
-    let pipelined = ShardedSim::new(config.clone(), streams.clone()).run();
+    let pipelined = ShardedSim::new(config, streams).run();
     if pipelined != report {
         violations.push("pipelined engine report diverges from single-threaded".to_owned());
-    }
-    let barrier = ShardedSim::new(config, streams).run_barrier();
-    if barrier != report {
-        violations.push("barrier engine report diverges from single-threaded".to_owned());
     }
     Ok(MulticoreReport { scenario: scenario.clone(), report, violations })
 }

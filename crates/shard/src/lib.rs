@@ -12,12 +12,12 @@
 //! core's filters through the `Invalidated` event path — a blocked
 //! filter update here would leave a filter believing a block is still
 //! resident (harmless) or, worse, un-counted state that drifts from the
-//! cache. The default engine is **pipelined**: a dedicated resolver
+//! cache. The parallel engine is **pipelined**: a dedicated resolver
 //! thread drains epoch E's shared-L3 queues while the cores already
-//! compute epoch E+1, with per-core bounded SPSC rings instead of a
-//! stop-the-world barrier. See [`sim`] for the execution model, the
-//! frozen-view soundness argument, and the three engines (pipelined /
-//! barrier / single) whose reports are bit-identical by contract.
+//! compute epoch E+1, handing off over per-core bounded SPSC rings. See
+//! [`sim`] for the execution model, the frozen-view soundness argument,
+//! and the two drivers (pipelined / single-threaded reference) whose
+//! reports are bit-identical by contract.
 //!
 //! ```
 //! use mnm_core::MnmConfig;
@@ -43,6 +43,6 @@ mod tune;
 
 pub use config::ShardConfig;
 pub use report::{CoreReport, ShardReport, ShardTiming};
-pub use sim::{Engine, L3Outcome, ShardObserver, ShardedSim};
+pub use sim::{L3Outcome, ShardObserver, ShardedSim};
 pub use stream::sharded_streams;
 pub use tune::{autotune_epoch, TunePoint, EPOCH_CANDIDATES};

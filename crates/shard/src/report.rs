@@ -23,12 +23,12 @@ pub struct CoreReport {
     /// L3 requests whose definite-miss verdict skipped the L3 probe —
     /// the block was indeed absent.
     pub l3_bypasses: u64,
-    /// Bypass verdicts that found the block resident because *this
-    /// barrier* placed it (after the verdict was issued against the
-    /// epoch-start L3 image). Sound: demoted to a normal probe.
+    /// Bypass verdicts that found the block resident because a
+    /// resolution round after the verdict's frozen L3 image placed it.
+    /// Sound: demoted to a normal probe.
     pub stale_bypass_rescues: u64,
     /// Bypass verdicts that found the block resident although it was
-    /// already resident at epoch start. These are genuine soundness
+    /// already resident in the verdict's frozen L3 image. These are genuine soundness
     /// violations; a correct filter never produces one.
     pub unsound_verdicts: u64,
     /// Blocks removed from this core's private caches by coherence
@@ -45,15 +45,15 @@ pub struct CoreReport {
 
 /// Wall-clock phase breakdown of one run. Purely diagnostic: timing is
 /// host-dependent and therefore **excluded from report equality** — the
-/// bit-identity contract between engines covers simulation results only.
+/// bit-identity contract between drivers covers simulation results only.
 #[derive(Debug, Clone)]
 pub struct ShardTiming {
-    /// Which engine produced the run (`pipelined`, `barrier`, `single`).
+    /// Which driver produced the run (`pipelined` or `single`).
     pub engine: String,
     /// Wall-clock nanoseconds for the whole run.
     pub wall_nanos: u64,
     /// Nanoseconds spent computing epochs (summed across cores in the
-    /// parallel engines — divide by the core count for per-core time).
+    /// pipelined engine — divide by the core count for per-core time).
     pub compute_nanos: u64,
     /// Nanoseconds the resolver spent draining shared-L3 queues.
     pub resolve_nanos: u64,
@@ -101,7 +101,7 @@ pub struct ShardReport {
 }
 
 // Manual equality: `timing` is host noise, everything else is the
-// deterministic simulation result the engines must agree on bit-for-bit.
+// deterministic simulation result the drivers must agree on bit-for-bit.
 impl PartialEq for ShardReport {
     fn eq(&self, other: &Self) -> bool {
         self.cores == other.cores && self.l3 == other.l3 && self.epochs == other.epochs

@@ -12,12 +12,8 @@
 //!
 //! ## The one-epoch-deep pipeline
 //!
-//! The original engine alternated: all cores compute epoch E, a barrier,
-//! one thread serially resolves epoch E's shared-L3 queue while every
-//! core idles, repeat — a textbook Amdahl ceiling (the serial resolve
-//! phase bounded `shard_scaling` speedup no matter the core count). The
-//! paper's own pitch is hiding latency by deciding misses *early*; the
-//! engine now hides its resolution latency the same way:
+//! The paper's pitch is hiding latency by deciding misses *early*; the
+//! engine hides its own shared-L3 resolution latency the same way:
 //!
 //! * cores compute epoch **E+1** while the resolver drains epoch **E**'s
 //!   queues — compute and resolution overlap instead of alternating;
@@ -27,34 +23,28 @@
 //!   after the resolution is guaranteed complete.
 //!
 //! Epoch E therefore runs against the L3 image left by resolution of
-//! epoch E−2 — a *frozen view*, exactly as before, just one resolution
-//! round deeper. Everything that made the frozen-view argument sound is
-//! unchanged: requests still resolve serially in core-major program
-//! order (deterministic regardless of thread scheduling), every core
-//! still applies the identical global event list (so shared-slot filter
-//! state is bit-identical everywhere), and verdicts are still classified
-//! at resolution time as sound bypass / stale rescue / unsound. Only
-//! *when* resolution happens relative to the next epoch's compute moved.
+//! epoch E−2 — a *frozen view* one resolution round deep. Requests
+//! resolve serially in core-major program order (deterministic
+//! regardless of thread scheduling), every core applies the identical
+//! global event list (so shared-slot filter state is bit-identical
+//! everywhere), and verdicts are classified at resolution time as sound
+//! bypass / stale rescue / unsound.
 //!
-//! ## Engines
+//! ## Drivers
 //!
-//! Three drivers execute the identical schedule and must produce
+//! Two drivers execute the identical schedule and must produce
 //! bit-identical [`ShardReport`]s (asserted in tests, the
 //! `shard_scaling` bench, and CI):
 //!
-//! * [`Engine::Pipelined`] (the default, [`ShardedSim::run`]) — one host
-//!   thread per core plus a dedicated resolver thread. Handoff is
-//!   per-core bounded SPSC rings ([`crate::spsc`]): an outbox (epoch
-//!   requests + published store lines) and an inbox (resolution
-//!   results). Cores never touch a shared lock; the old
-//!   `Mutex<CoreState>` + `Barrier` pair is gone.
-//! * [`Engine::Barrier`] ([`ShardedSim::run_barrier`]) — the
-//!   stop-the-world baseline: same schedule, but resolution happens
-//!   inside the barrier window while cores wait. Kept as the speedup
-//!   baseline the bench compares against (`--pipeline off`).
-//! * [`Engine::Single`] ([`ShardedSim::run_single_threaded`]) — the
-//!   whole schedule on the calling thread; the reference execution and
-//!   the only driver that invokes a [`ShardObserver`].
+//! * [`ShardedSim::run`] — the pipelined engine: one host thread per
+//!   core plus a dedicated resolver thread. Handoff is per-core bounded
+//!   SPSC rings ([`crate::spsc`]): an outbox (epoch requests + published
+//!   store lines) and an inbox (resolution results). Cores never touch a
+//!   shared lock.
+//! * [`ShardedSim::run_single_threaded`] — the whole schedule on the
+//!   calling thread; the reference execution and, through
+//!   [`ShardedSim::run_single_threaded_observed`], the only driver that
+//!   invokes a [`ShardObserver`].
 //!
 //! ### Why the SPSC depth is bounded
 //!
@@ -89,8 +79,7 @@ use cache_sim::{
 };
 use mnm_core::Mnm;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// How one shared-L3 request was resolved.
@@ -111,33 +100,9 @@ pub enum L3Outcome {
     Unsound,
 }
 
-/// The execution engine driving the epoch schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// Cores compute epoch E+1 while a dedicated resolver thread drains
-    /// epoch E; SPSC handoff, no shared locks. The default.
-    Pipelined,
-    /// Stop-the-world baseline: resolution runs inside the barrier
-    /// window while every core idles (`--pipeline off`).
-    Barrier,
-    /// Everything on the calling thread; the reference execution.
-    Single,
-}
-
-impl Engine {
-    /// Stable label used in reports and JSON.
-    pub fn label(self) -> &'static str {
-        match self {
-            Engine::Pipelined => "pipelined",
-            Engine::Barrier => "barrier",
-            Engine::Single => "single",
-        }
-    }
-}
-
 /// Hooks for lockstep checking. Only the single-threaded driver
 /// ([`ShardedSim::run_single_threaded_observed`]) invokes an observer;
-/// the parallel drivers are proven equivalent to it by report identity.
+/// the pipelined engine is proven equivalent to it by report identity.
 ///
 /// Hook timing follows the *cores'* view of the pipeline: `l3_events`
 /// fires when a resolution round's global event list is **applied** (the
@@ -169,7 +134,7 @@ pub trait ShardObserver {
     fn l3_events(&mut self, _events: &[CacheEvent]) {}
 }
 
-/// The no-op observer used by the parallel drivers.
+/// The no-op observer for runs nobody observes.
 struct NoopObserver;
 
 impl ShardObserver for NoopObserver {}
@@ -271,8 +236,8 @@ impl ResolvedMsg {
 }
 
 /// Everything one core owns. Exactly one thread touches a `CoreState`
-/// at any time: its own thread in the parallel engines (no `Mutex`),
-/// the calling thread in the single engine.
+/// at any time: its own thread in the pipelined engine, the calling
+/// thread in the single engine.
 struct CoreState {
     id: usize,
     hier: Hierarchy,
@@ -291,9 +256,8 @@ struct CoreState {
     stall_nanos: u64,
 }
 
-/// State only the resolver touches (the leader thread in the barrier
-/// engine, the dedicated resolver thread in the pipelined engine, the
-/// calling thread in the single engine).
+/// State only the resolver touches (the dedicated resolver thread in the
+/// pipelined engine, the calling thread in the single engine).
 struct ResolverState {
     l3: Hierarchy,
     /// L3 lines placed during the current resolution round.
@@ -401,32 +365,10 @@ impl ShardedSim {
         &self.config
     }
 
-    /// Run the pipelined engine (one host thread per core plus a
-    /// resolver thread). Produces a report bit-identical to
-    /// [`ShardedSim::run_single_threaded`].
-    pub fn run(&mut self) -> ShardReport {
-        self.run_engine(Engine::Pipelined)
-    }
-
-    /// Run the stop-the-world barrier baseline. Produces a report
-    /// bit-identical to [`ShardedSim::run_single_threaded`].
-    pub fn run_barrier(&mut self) -> ShardReport {
-        self.run_engine(Engine::Barrier)
-    }
-
     /// Run everything on the calling thread (the reference execution the
-    /// parallel drivers must match).
+    /// pipelined engine must match).
     pub fn run_single_threaded(&mut self) -> ShardReport {
-        self.run_engine(Engine::Single)
-    }
-
-    /// Run the selected engine.
-    pub fn run_engine(&mut self, engine: Engine) -> ShardReport {
-        match engine {
-            Engine::Pipelined => self.run_pipelined(),
-            Engine::Barrier => self.run_barrier_engine(),
-            Engine::Single => self.run_single_threaded_observed(&mut NoopObserver),
-        }
+        self.run_single_threaded_observed(&mut NoopObserver)
     }
 
     /// Single-threaded run with lockstep checking hooks.
@@ -466,7 +408,7 @@ impl ShardedSim {
             }
         }
         self.timing = ShardTiming {
-            engine: Engine::Single.label().to_owned(),
+            engine: "single".to_owned(),
             wall_nanos: elapsed_nanos(wall),
             compute_nanos,
             resolve_nanos: self.resolver.resolve_nanos,
@@ -475,9 +417,11 @@ impl ShardedSim {
         self.build_report()
     }
 
-    /// The pipelined engine: compute overlaps resolution, handoff over
-    /// per-core SPSC rings, no shared locks anywhere on the hot path.
-    fn run_pipelined(&mut self) -> ShardReport {
+    /// Run the pipelined engine: one host thread per core plus a resolver
+    /// thread, compute overlapping resolution, handoff over per-core SPSC
+    /// rings. Produces a report bit-identical to
+    /// [`ShardedSim::run_single_threaded`].
+    pub fn run(&mut self) -> ShardReport {
         let ctx = self.ctx;
         let wall = Instant::now();
         let n = self.config.cores;
@@ -539,76 +483,7 @@ impl ShardedSim {
             });
         });
         self.timing = ShardTiming {
-            engine: Engine::Pipelined.label().to_owned(),
-            wall_nanos: elapsed_nanos(wall),
-            compute_nanos: self.cores.iter().map(|c| c.compute_nanos).sum(),
-            resolve_nanos: self.resolver.resolve_nanos,
-            stall_nanos: self.cores.iter().map(|c| c.stall_nanos).sum(),
-        };
-        self.build_report()
-    }
-
-    /// The stop-the-world baseline: same schedule, but resolution runs
-    /// inside the barrier window while every core idles.
-    fn run_barrier_engine(&mut self) -> ShardReport {
-        let ctx = self.ctx;
-        let wall = Instant::now();
-        let n = self.config.cores;
-        let barrier = Barrier::new(n);
-        let done = AtomicBool::new(false);
-        let out_slots: Vec<Mutex<Option<OutMsg>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let in_slots: Vec<Mutex<Option<ResolvedMsg>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let prev_outs: Mutex<Vec<OutMsg>> = Mutex::new((0..n).map(|_| OutMsg::empty()).collect());
-        let resolver = Mutex::new(&mut self.resolver);
-        let cores = &mut self.cores;
-        std::thread::scope(|scope| {
-            for (t, core) in cores.iter_mut().enumerate() {
-                let barrier = &barrier;
-                let done = &done;
-                let out_slots = &out_slots;
-                let in_slots = &in_slots;
-                let prev_outs = &prev_outs;
-                let resolver = &resolver;
-                scope.spawn(move || {
-                    let mut noop = NoopObserver;
-                    loop {
-                        let t0 = Instant::now();
-                        let msg = in_slots[t].lock().unwrap().take();
-                        if let Some(msg) = msg {
-                            apply_inbox(ctx, core, &msg, &mut noop);
-                        }
-                        let out = run_epoch_compute(ctx, core, &mut noop);
-                        *out_slots[t].lock().unwrap() = Some(out);
-                        core.compute_nanos += elapsed_nanos(t0);
-                        let t1 = Instant::now();
-                        if barrier.wait().is_leader() {
-                            let mut rs = resolver.lock().unwrap();
-                            rs.rounds += 1;
-                            let cur: Vec<OutMsg> = out_slots
-                                .iter()
-                                .map(|s| s.lock().unwrap().take().expect("core missed a round"))
-                                .collect();
-                            let mut prev = prev_outs.lock().unwrap();
-                            let outs = std::mem::replace(&mut *prev, cur);
-                            let msgs = resolve_round(ctx, outs, &mut rs, &mut noop);
-                            let all_done = prev.iter().all(|o| o.exhausted && o.is_empty())
-                                && msgs.iter().all(ResolvedMsg::is_empty);
-                            for (ci, m) in msgs.into_iter().enumerate() {
-                                *in_slots[ci].lock().unwrap() = Some(m);
-                            }
-                            done.store(all_done, Ordering::SeqCst);
-                        }
-                        barrier.wait();
-                        core.stall_nanos += elapsed_nanos(t1);
-                        if done.load(Ordering::SeqCst) {
-                            break;
-                        }
-                    }
-                });
-            }
-        });
-        self.timing = ShardTiming {
-            engine: Engine::Barrier.label().to_owned(),
+            engine: "pipelined".to_owned(),
             wall_nanos: elapsed_nanos(wall),
             compute_nanos: self.cores.iter().map(|c| c.compute_nanos).sum(),
             resolve_nanos: self.resolver.resolve_nanos,

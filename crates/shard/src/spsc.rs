@@ -8,8 +8,7 @@
 //! one resolver thread — so the ring needs no CAS loops: the producer
 //! owns `tail`, the consumer owns `head`, and a pair of
 //! acquire/release `AtomicUsize` sequence numbers publishes each slot.
-//! Cores therefore never contend on a shared lock the way the old
-//! `Mutex<CoreState>` + `Barrier` handoff made them do.
+//! Cores therefore never contend on a shared lock.
 //!
 //! The sequence numbers and every slot are cache-line padded
 //! ([`CachePadded`]): `head` is written by the consumer on every pop and

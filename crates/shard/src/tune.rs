@@ -20,10 +20,10 @@
 //! bound queue memory; the occupancy ceiling is what guarantees the
 //! resolver can hide behind compute.
 //!
-//! The tuner returns a **concrete** epoch, and the caller runs every
-//! engine with it — so `--epoch auto` preserves the pipelined ==
-//! barrier == single bit-identity contract (identity is a property of
-//! the chosen epoch, not of the tuning procedure).
+//! The tuner returns a **concrete** epoch, and the caller runs both
+//! drivers with it — so `--epoch auto` preserves the pipelined == single
+//! bit-identity contract (identity is a property of the chosen epoch,
+//! not of the tuning procedure).
 
 use crate::config::ShardConfig;
 use crate::sim::ShardedSim;

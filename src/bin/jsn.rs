@@ -72,7 +72,7 @@ fn print_help() {
          jsn diff <a.json> <b.json> [--tol X]\n  \
          jsn check [--seeds N] [--len N] [--filter LABEL] [--gen G] [--seed S] [--json] [-o FILE]\n  \
          jsn shard [--app NAME] [--cores N] [-n N] [--epoch N|auto] [--sharing R]\n            \
-         [--config LABEL] [--seed S] [--pipeline on|off] [--single] [--json]\n            \
+         [--config LABEL] [--seed S] [--single] [--json]\n            \
          [--bench] [--check [--quick] [--workload W]]\n\
          \n\
          Labels: Baseline, Perfect, HMNM1..4, TMNM_<b>x<r>, CMNM_<k>_<m>,\n\
@@ -96,18 +96,17 @@ fn print_help() {
          shard runs an epoch-synchronized N-core simulation: per-core\n\
          private L1/L2 + MNM filters over one shared L3, with cross-core\n\
          store and L3-victim invalidations driven through the filter event\n\
-         stream. The default engine is pipelined (cores compute epoch E+1\n\
-         while a resolver thread drains epoch E); `--pipeline off` selects\n\
-         the stop-the-world barrier baseline and `--single` the\n\
-         single-threaded reference — all three are bit-identical by\n\
-         contract. `--epoch auto`\n\
-         calibrates the epoch length before the run; `--bench` times all\n\
-         engines over identical streams and verifies identity; `--check`\n\
-         sweeps adversarial sharing workloads (pingpong, falsesharing,\n\
-         evictionrace, profile) across every filter family under a lockstep\n\
-         multi-core reference model, re-verifying engine identity per\n\
-         scenario. JSON output includes per-phase timing (compute, resolve,\n\
-         stall nanos and resolver occupancy).\n\
+         stream. The engine is pipelined (cores compute epoch E+1 while a\n\
+         resolver thread drains epoch E); `--single` runs the\n\
+         single-threaded reference instead — the two are bit-identical by\n\
+         contract. `--epoch auto` calibrates the epoch length before the\n\
+         run; `--bench` times both over identical streams and verifies\n\
+         identity; `--check` sweeps adversarial sharing workloads\n\
+         (pingpong, falsesharing, evictionrace, profile) across every\n\
+         filter family under a lockstep multi-core reference model,\n\
+         re-verifying engine identity per scenario. JSON output includes\n\
+         per-phase timing (compute, resolve, stall nanos and resolver\n\
+         occupancy).\n\
          \n\
          serve runs a long-lived trace-stream replay service:\n  \
          jsn serve [--listen EP] [--max-sessions N] [--queue FRAMES]\n            \
@@ -728,16 +727,14 @@ fn cmd_shard(args: &[String]) -> ExitCode {
 fn run_shard(args: &[String]) -> Result<ExitCode, String> {
     use just_say_no::mnm_check::{run_multicore_scenario, run_multicore_suite, MulticoreScenario};
     use just_say_no::mnm_core::MnmConfig;
-    use just_say_no::mnm_shard::{
-        autotune_epoch, sharded_streams, Engine, ShardConfig, ShardedSim,
-    };
+    use just_say_no::mnm_shard::{autotune_epoch, sharded_streams, ShardConfig, ShardedSim};
     use just_say_no::trace_synth::sharing::SharingSpec;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--app" | "--cores" | "-n" | "--epoch" | "--sharing" | "--config" | "--seed"
-            | "--pipeline" | "--workload" => {
+            | "--workload" => {
                 it.next().ok_or_else(|| format!("{arg} needs a value"))?;
             }
             "--single" | "--json" | "--bench" | "--check" | "--quick" => {}
@@ -745,6 +742,9 @@ fn run_shard(args: &[String]) -> Result<ExitCode, String> {
         }
     }
     let cores = parse_n(args, "--cores", 4)? as usize;
+    if cores == 0 {
+        return Err("--cores 0: expected at least one core".to_owned());
+    }
     // `--epoch` accepts a length or `auto` (calibrate before the run).
     let epoch_arg = parse_opt(args, "--epoch");
     let epoch_auto = epoch_arg == Some("auto");
@@ -752,8 +752,14 @@ fn run_shard(args: &[String]) -> Result<ExitCode, String> {
         None | Some("auto") => 2048,
         Some(text) => parse_flag_num(text, "--epoch")?,
     };
+    if epoch == 0 {
+        return Err("--epoch 0: expected a positive length or `auto`".to_owned());
+    }
     let sharing: f64 = match parse_opt(args, "--sharing") {
-        Some(text) => text.parse().map_err(|_| format!("--sharing {text}: expected a ratio"))?,
+        Some(text) => match text.parse() {
+            Ok(ratio) if (0.0..=1.0).contains(&ratio) => ratio,
+            _ => return Err(format!("--sharing {text}: expected a ratio within [0, 1]")),
+        },
         None => 0.25,
     };
     let label = parse_opt(args, "--config").unwrap_or("HMNM4");
@@ -763,12 +769,6 @@ fn run_shard(args: &[String]) -> Result<ExitCode, String> {
     };
     let json = args.iter().any(|a| a == "--json");
     let single = args.iter().any(|a| a == "--single");
-    let engine = match parse_opt(args, "--pipeline") {
-        Some("on") | None if !single => Engine::Pipelined,
-        Some("off") if !single => Engine::Barrier,
-        None | Some("on") | Some("off") => Engine::Single,
-        Some(other) => return Err(format!("--pipeline {other}: expected `on` or `off`")),
-    };
 
     if args.iter().any(|a| a == "--check") {
         if epoch_auto {
@@ -807,7 +807,7 @@ fn run_shard(args: &[String]) -> Result<ExitCode, String> {
             if failures.is_empty() {
                 println!(
                     "shard check passed: {total} scenario(s) — every definite-miss verdict \
-                     sound under cross-core stores, shared-L3 victims, and barrier races"
+                     sound under cross-core stores, shared-L3 victims, and stale frozen views"
                 );
             }
             failures
@@ -836,7 +836,7 @@ fn run_shard(args: &[String]) -> Result<ExitCode, String> {
     };
     let streams = sharded_streams(&profile, &spec, n, config.l1.block_bytes);
     if epoch_auto {
-        // Calibrate, then run every engine with the chosen concrete epoch
+        // Calibrate, then run both drivers with the chosen concrete epoch
         // (so `--epoch auto` preserves the engine-identity contract).
         let (chosen, points) = autotune_epoch(&config, &streams);
         config.epoch = chosen;
@@ -853,19 +853,20 @@ fn run_shard(args: &[String]) -> Result<ExitCode, String> {
     let build = || ShardedSim::new(config.clone(), streams.clone());
 
     if args.iter().any(|a| a == "--bench") {
-        // Throughput benchmark: all three engines over identical streams,
-        // and every report must be bit-identical (the race-freedom check).
-        let run = |engine: Engine| {
+        // Throughput benchmark: both drivers over identical streams, and
+        // the reports must be bit-identical (the race-freedom check).
+        let timed = |run: fn(&mut ShardedSim) -> _| {
             let mut sim = build();
             let t = std::time::Instant::now();
-            let report = sim.run_engine(engine);
+            let report = run(&mut sim);
             (report, t.elapsed())
         };
-        let (baseline, t_single) = run(Engine::Single);
-        let (barrier, t_barrier) = run(Engine::Barrier);
-        let (pipelined, t_pipelined) = run(Engine::Pipelined);
-        if barrier != baseline || pipelined != baseline {
-            eprintln!("shard bench FAILED: a parallel engine diverged from single-threaded replay");
+        let (baseline, t_single) = timed(ShardedSim::run_single_threaded);
+        let (pipelined, t_pipelined) = timed(ShardedSim::run);
+        if pipelined != baseline {
+            eprintln!(
+                "shard bench FAILED: the pipelined engine diverged from single-threaded replay"
+            );
             return Ok(ExitCode::FAILURE);
         }
         let total = baseline.total_accesses();
@@ -875,12 +876,9 @@ fn run_shard(args: &[String]) -> Result<ExitCode, String> {
             "shard bench: {cores} cores, {total} accesses, {app} ({label}, sharing {sharing}, \
              epoch {epoch})\n  \
              single:    {:>8.2} Maccs/s\n  \
-             barrier:   {:>8.2} Maccs/s  (speedup {:.2}x)\n  \
              pipelined: {:>8.2} Maccs/s  (speedup {:.2}x, resolver occupancy {:.0}%)\n  \
              reports identical: yes",
             rate(t_single),
-            rate(t_barrier),
-            speedup(t_barrier),
             rate(t_pipelined),
             speedup(t_pipelined),
             100.0 * pipelined.timing.resolver_occupancy(),
@@ -889,7 +887,7 @@ fn run_shard(args: &[String]) -> Result<ExitCode, String> {
     }
 
     let mut sim = build();
-    let report = sim.run_engine(engine);
+    let report = if single { sim.run_single_threaded() } else { sim.run() };
     if json {
         print!("{}", report.to_json(label, cores, epoch, sharing));
     } else {

@@ -175,3 +175,29 @@ fn shard_takes_no_environment_defaults() {
     assert_eq!(shard(&[("JSN_CORES", "abc")]), plain);
     assert_eq!(shard(&[("JSN_CORES", "2"), ("JSN_EPOCH", "64"), ("JSN_SHARING", "0.9")]), plain);
 }
+
+#[test]
+fn shard_rejects_out_of_range_values_cleanly() {
+    // Each case must fail with exit 1 and a message naming the flag, never
+    // reach a library assert (exit 101 and a panic backtrace).
+    let cases: [(&[&str], &str); 9] = [
+        (&["--epoch", "0"], "--epoch"),
+        (&["--cores", "0"], "--cores"),
+        (&["--sharing", "1.5"], "--sharing"),
+        (&["--sharing", "-0.1"], "--sharing"),
+        (&["--sharing", "nan"], "--sharing"),
+        (&["--pipeline", "off"], "--pipeline"),
+        (&["--check", "--workload", "pingpong", "--epoch", "0"], "--epoch"),
+        (&["--check", "--workload", "pingpong", "--cores", "0"], "--cores"),
+        (&["--check", "--workload", "pingpong", "--sharing", "nan"], "--sharing"),
+    ];
+    for (flags, named) in cases {
+        let mut args = vec!["shard", "-n", "2000"];
+        args.extend_from_slice(flags);
+        let out = jsn(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flags:?}: {stderr}");
+        assert!(stderr.starts_with("jsn: ") && stderr.contains(named), "{flags:?}: {stderr}");
+    }
+}
