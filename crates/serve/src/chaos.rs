@@ -64,8 +64,6 @@
 //! crash-safe `fsio` writer on shutdown.
 
 use std::io::{Read, Write};
-use std::net::TcpListener;
-use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -74,7 +72,7 @@ use std::time::Duration;
 use mnm_experiments::faults::{Plan, PlanGrammar, Select};
 use trace_synth::hash::{fnv1a, splitmix64};
 
-use crate::server::{Conn, Endpoint};
+use crate::server::{connect, Conn, Endpoint, Listener};
 use crate::signal;
 
 /// Environment variable holding the chaos plan.
@@ -253,34 +251,6 @@ pub struct ChaosOptions {
     pub log_path: Option<PathBuf>,
 }
 
-enum Listener {
-    Tcp(TcpListener),
-    Unix(UnixListener),
-}
-
-impl Listener {
-    fn accept(&self) -> std::io::Result<Conn> {
-        match self {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
-            Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
-        }
-    }
-
-    fn set_nonblocking(&self, v: bool) -> std::io::Result<()> {
-        match self {
-            Listener::Tcp(l) => l.set_nonblocking(v),
-            Listener::Unix(l) => l.set_nonblocking(v),
-        }
-    }
-}
-
-fn connect_upstream(endpoint: &Endpoint) -> std::io::Result<Conn> {
-    match endpoint {
-        Endpoint::Tcp(addr) => std::net::TcpStream::connect(addr.as_str()).map(Conn::Tcp),
-        Endpoint::Unix(path) => std::os::unix::net::UnixStream::connect(path).map(Conn::Unix),
-    }
-}
-
 /// A handle for stopping a running proxy and reading its fault log.
 #[derive(Clone)]
 pub struct ChaosHandle {
@@ -327,17 +297,8 @@ impl ChaosProxy {
     /// Bind the listen endpoint. A stale unix socket file is removed
     /// first.
     pub fn bind(options: ChaosOptions) -> std::io::Result<ChaosProxy> {
-        let listener = match &options.listen {
-            Endpoint::Tcp(addr) => Listener::Tcp(TcpListener::bind(addr.as_str())?),
-            Endpoint::Unix(path) => {
-                if path.exists() {
-                    std::fs::remove_file(path)?;
-                }
-                Listener::Unix(UnixListener::bind(path)?)
-            }
-        };
         Ok(ChaosProxy {
-            listener,
+            listener: Listener::bind(&options.listen)?,
             options,
             shutdown: Arc::new(AtomicBool::new(false)),
             fired: Arc::new(Mutex::new(Vec::new())),
@@ -347,13 +308,7 @@ impl ChaosProxy {
 
     /// The bound listen endpoint (resolves TCP port 0).
     pub fn local_endpoint(&self) -> Endpoint {
-        match (&self.listener, &self.options.listen) {
-            (Listener::Tcp(l), _) => match l.local_addr() {
-                Ok(a) => Endpoint::Tcp(a.to_string()),
-                Err(_) => self.options.listen.clone(),
-            },
-            (Listener::Unix(_), e) => e.clone(),
-        }
+        self.listener.local_endpoint(&self.options.listen)
     }
 
     /// A handle for shutdown and fault-log access.
@@ -361,50 +316,36 @@ impl ChaosProxy {
         ChaosHandle { shutdown: Arc::clone(&self.shutdown), fired: Arc::clone(&self.fired) }
     }
 
-    fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst) || signal::requested()
-    }
-
     /// Accept and relay until shutdown, then flush the fired-fault log.
     pub fn run(self) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        let mut relays: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.shutting_down() {
-            match self.listener.accept() {
-                Ok(client) => {
-                    let conn_id = self.next_conn.fetch_add(1, Ordering::Relaxed);
-                    let upstream = match connect_upstream(&self.options.upstream) {
-                        Ok(u) => u,
-                        Err(_) => {
-                            client.shutdown_both();
-                            continue;
-                        }
-                    };
-                    let (Ok(client_r), Ok(upstream_r)) = (client.try_clone(), upstream.try_clone())
-                    else {
-                        client.shutdown_both();
-                        upstream.shutdown_both();
-                        continue;
-                    };
-                    for (src, dst, dir) in [
-                        (client, upstream, Direction::ClientToServer),
-                        (upstream_r, client_r, Direction::ServerToClient),
-                    ] {
-                        let plan = self.options.plan.clone();
-                        let fired = Arc::clone(&self.fired);
-                        let shutdown = Arc::clone(&self.shutdown);
-                        relays.push(std::thread::spawn(move || {
-                            relay(src, dst, &plan, conn_id, dir, &fired, &shutdown);
-                        }));
-                    }
+        let relays = self.listener.accept_until(
+            &self.local_endpoint(),
+            &self.shutdown,
+            |client, relays| {
+                let conn_id = self.next_conn.fetch_add(1, Ordering::Relaxed);
+                let Ok(upstream) = connect(&self.options.upstream) else {
+                    client.shutdown_both();
+                    return;
+                };
+                let (Ok(client_r), Ok(upstream_r)) = (client.try_clone(), upstream.try_clone())
+                else {
+                    client.shutdown_both();
+                    upstream.shutdown_both();
+                    return;
+                };
+                for (src, dst, dir) in [
+                    (client, upstream, Direction::ClientToServer),
+                    (upstream_r, client_r, Direction::ServerToClient),
+                ] {
+                    let plan = self.options.plan.clone();
+                    let fired = Arc::clone(&self.fired);
+                    let shutdown = Arc::clone(&self.shutdown);
+                    relays.push(std::thread::spawn(move || {
+                        relay(src, dst, &plan, conn_id, dir, &fired, &shutdown);
+                    }));
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(TICK);
-                    relays.retain(|r| !r.is_finished());
-                }
-                Err(e) => return Err(e),
-            }
-        }
+            },
+        )?;
         for r in relays {
             let _ = r.join();
         }

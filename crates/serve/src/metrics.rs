@@ -4,9 +4,10 @@
 //!
 //! The registry is shared by every session thread through an `Arc`; all
 //! hot-path updates are relaxed atomic adds. The only lock guards the
-//! per-session gauge table, touched once per frame — and it recovers
-//! from poisoning rather than cascading a panic, like the experiment
-//! telemetry recorder.
+//! per-session gauge table: an entry is inserted with its label when a
+//! session starts, and each frame rewrites its three counters in place
+//! without allocating. The lock recovers from poisoning rather than
+//! cascading a panic, like the experiment telemetry recorder.
 //!
 //! The global counters are each cache-line padded ([`CachePadded`]):
 //! unpadded, all twelve `AtomicU64`s share two cache lines, so e.g.
@@ -166,8 +167,8 @@ fn lock_sessions(
     m: &Mutex<BTreeMap<u64, SessionGauge>>,
 ) -> std::sync::MutexGuard<'_, BTreeMap<u64, SessionGauge>> {
     // A panicking session thread must not wedge every future scrape:
-    // recover the map from a poisoned lock (gauges are overwritten
-    // wholesale each frame, so torn state self-heals).
+    // recover the map from a poisoned lock (a gauge's counters are
+    // overwritten each frame, so torn state self-heals).
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
@@ -235,9 +236,20 @@ impl Registry {
         })
     }
 
-    /// Install or refresh the live gauges for session `id`.
+    /// Install or replace the live gauges for session `id`.
     pub fn set_session_gauge(&self, id: u64, gauge: SessionGauge) {
         lock_sessions(&self.sessions).insert(id, gauge);
+    }
+
+    /// Refresh session `id`'s counters in place; its label stays as
+    /// [`Registry::set_session_gauge`] installed it, so a frame's update
+    /// allocates nothing. A no-op for a session with no gauge.
+    pub fn update_session_gauge(&self, id: u64, tracked: u64, capacity: u64, accesses: u64) {
+        if let Some(g) = lock_sessions(&self.sessions).get_mut(&id) {
+            g.occupancy_tracked = tracked;
+            g.occupancy_capacity = capacity;
+            g.accesses = accesses;
+        }
     }
 
     /// Drop session `id`'s gauges (on session end).
@@ -386,6 +398,21 @@ mod tests {
             scrape_value(&page, "jsn_session_occupancy_tracked{session=\"1\",config=\"HMNM4\"}"),
             Some(10)
         );
+
+        // A frame's update rewrites the counters under the same label; an
+        // unknown session gets no gauge.
+        reg.update_session_gauge(1, 12, 100, 80);
+        reg.update_session_gauge(2, 1, 1, 1);
+        let page = reg.render();
+        assert_eq!(
+            scrape_value(&page, "jsn_session_occupancy_tracked{session=\"1\",config=\"HMNM4\"}"),
+            Some(12)
+        );
+        assert_eq!(
+            scrape_value(&page, "jsn_session_accesses{session=\"1\",config=\"HMNM4\"}"),
+            Some(80)
+        );
+        assert_eq!(reg.gauge_count(), 1);
 
         reg.remove_session_gauge(1);
         assert_eq!(reg.gauge_count(), 0);

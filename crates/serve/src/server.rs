@@ -44,8 +44,17 @@
 //! `resume_window`. A client reconnecting with the token gets back
 //! `last_acked` in the hello reply and replays only frames after it;
 //! frames at or below `last_acked` are re-acked from the summary ring
-//! *without touching the replay state*. Applied and replayed frames are
-//! counted separately, and the invariant
+//! *without touching the replay state*.
+//!
+//! A session that served `Finish` parks too, as a **tombstone**: its
+//! core (hierarchy plus filters) is dropped, and only the label,
+//! `last_acked`, the summary ring and the encoded `Stats` are kept. A
+//! client that lost the `Stats` reply resumes and gets the same bytes
+//! again; its duplicates are re-acked from the ring; a new `Records`
+//! frame is a client bug and fails the session unreplayed. When the
+//! table is full, tombstones are expired before live parked sessions.
+//!
+//! Applied and replayed frames are counted separately, and the invariant
 //! `frames_in == frames_applied + frames_replayed` is the
 //! reconciliation check the drain snapshot (and the chaos soak's
 //! `--verify`) relies on: every received frame was applied exactly once
@@ -58,19 +67,23 @@
 //!
 //! ## Shutdown
 //!
-//! SIGINT/SIGTERM (or [`ServerHandle::shutdown`]) stops the accept
-//! loop; live sessions get up to `drain` to finish, are told
+//! The accept loop blocks in `accept`, so a session starts the moment
+//! its client connects. SIGINT/SIGTERM (or [`ServerHandle::shutdown`])
+//! stops it: a watcher checks both flags once per tick and wakes the
+//! blocked `accept` by connecting to the server's own endpoint. Live
+//! sessions then get up to `drain` to finish, are told
 //! `server shutting down` in an `Error` frame otherwise, and the final
 //! metrics page is flushed through the crash-safe `fsio` writer.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cache_sim::{Hierarchy, HierarchyConfig, StructureStats};
@@ -248,12 +261,40 @@ impl Write for Conn {
     }
 }
 
-enum Listener {
+/// A bound listening socket, TCP or unix. The server and the chaos
+/// proxy both accept through [`Listener::accept_until`].
+pub(crate) enum Listener {
     Tcp(TcpListener),
     Unix(UnixListener),
 }
 
 impl Listener {
+    /// Bind `endpoint`. A stale unix socket file from a previous run is
+    /// removed first.
+    pub(crate) fn bind(endpoint: &Endpoint) -> std::io::Result<Listener> {
+        match endpoint {
+            Endpoint::Tcp(addr) => Ok(Listener::Tcp(TcpListener::bind(addr.as_str())?)),
+            Endpoint::Unix(path) => {
+                if path.exists() {
+                    std::fs::remove_file(path)?;
+                }
+                Ok(Listener::Unix(UnixListener::bind(path)?))
+            }
+        }
+    }
+
+    /// The bound TCP address (resolves port 0), or `configured` for unix
+    /// sockets.
+    pub(crate) fn local_endpoint(&self, configured: &Endpoint) -> Endpoint {
+        match self {
+            Listener::Tcp(l) => match l.local_addr() {
+                Ok(a) => Endpoint::Tcp(a.to_string()),
+                Err(_) => configured.clone(),
+            },
+            Listener::Unix(_) => configured.clone(),
+        }
+    }
+
     fn accept(&self) -> std::io::Result<Conn> {
         match self {
             Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
@@ -261,11 +302,59 @@ impl Listener {
         }
     }
 
-    fn set_nonblocking(&self, v: bool) -> std::io::Result<()> {
-        match self {
-            Listener::Tcp(l) => l.set_nonblocking(v),
-            Listener::Unix(l) => l.set_nonblocking(v),
-        }
+    /// Block in `accept` and hand each connection to `on_conn` the moment
+    /// it arrives, until `shutdown` is set or a SIGINT/SIGTERM arrives.
+    /// `on_conn` pushes the threads it starts; finished ones are reaped on
+    /// every accept, and those still running are returned.
+    ///
+    /// `accept` has no timeout, so a watcher checks both flags once per
+    /// [`TICK`] and, once either is set, wakes the blocked call by
+    /// connecting to `wake` (this listener's own endpoint). The
+    /// connection that wakes it is dropped unserved.
+    pub(crate) fn accept_until(
+        &self,
+        wake: &Endpoint,
+        shutdown: &AtomicBool,
+        mut on_conn: impl FnMut(Conn, &mut Vec<JoinHandle<()>>),
+    ) -> std::io::Result<Vec<JoinHandle<()>>> {
+        let stopping = || shutdown.load(Ordering::SeqCst) || signal::requested();
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !done.load(Ordering::SeqCst) {
+                    if stopping() && connect(wake).is_ok() {
+                        return;
+                    }
+                    std::thread::sleep(TICK);
+                }
+            });
+            let mut threads: Vec<JoinHandle<()>> = Vec::new();
+            let result = loop {
+                if stopping() {
+                    break Ok(());
+                }
+                let conn = match self.accept() {
+                    Ok(conn) => conn,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                    Err(e) => break Err(e),
+                };
+                if stopping() {
+                    break Ok(());
+                }
+                threads.retain(|t| !t.is_finished());
+                on_conn(conn, &mut threads);
+            };
+            done.store(true, Ordering::SeqCst);
+            result.map(|()| threads)
+        })
+    }
+}
+
+/// Connect to `endpoint` as a client.
+pub(crate) fn connect(endpoint: &Endpoint) -> std::io::Result<Conn> {
+    match endpoint {
+        Endpoint::Tcp(addr) => TcpStream::connect(addr.as_str()).map(Conn::Tcp),
+        Endpoint::Unix(path) => UnixStream::connect(path).map(Conn::Unix),
     }
 }
 
@@ -274,20 +363,32 @@ impl Listener {
 struct SessionState {
     /// The filter preset label the session was created with.
     label: String,
-    /// The replay state itself.
-    core: SessionCore,
+    /// The replay state while live; the final `Stats` once finished.
+    replay: Replay,
     /// Highest `Records` sequence number applied.
     last_acked: u64,
     /// Recent `(seq, summary)` pairs for re-acking duplicates.
     ring: VecDeque<(u64, [u8; 48])>,
-    /// The encoded final `Stats` payload, once `Finish` has been
-    /// served — kept so a client that lost the reply can ask again.
-    finished: Option<Vec<u8>>,
+}
+
+/// What a session keeps beyond its sequence bookkeeping.
+enum Replay {
+    /// Still taking frames: the replay state itself (hierarchy plus
+    /// filters).
+    Live(Box<SessionCore>),
+    /// `Finish` was served: only the encoded `Stats` payload is kept, so a
+    /// client that lost the reply can ask again. The core is gone.
+    Finished(Vec<u8>),
 }
 
 impl SessionState {
     fn new(label: String, core: SessionCore) -> SessionState {
-        SessionState { label, core, last_acked: 0, ring: VecDeque::new(), finished: None }
+        SessionState {
+            label,
+            replay: Replay::Live(Box::new(core)),
+            last_acked: 0,
+            ring: VecDeque::new(),
+        }
     }
 
     fn remember_summary(&mut self, seq: u64, summary: [u8; 48]) {
@@ -316,75 +417,127 @@ struct Parked {
 }
 
 /// The parked-session table: token → resumable state, bounded in count
-/// and in age.
+/// and in age, plus the tokens a connection holds right now.
 struct Parking {
-    table: Mutex<HashMap<u64, Parked>>,
+    table: Mutex<Table>,
+    /// Notified whenever a connection lets go of its session.
+    released: Condvar,
     next_token: AtomicU64,
 }
 
-fn lock_table(m: &Mutex<HashMap<u64, Parked>>) -> std::sync::MutexGuard<'_, HashMap<u64, Parked>> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+#[derive(Default)]
+struct Table {
+    parked: HashMap<u64, Parked>,
+    /// Tokens whose session is attached to a connection. A client can
+    /// reconnect before the server has seen its old connection close, so
+    /// a resume for a held token waits for the holder to let go.
+    held: HashSet<u64>,
 }
 
-impl Parking {
-    fn new() -> Parking {
-        Parking { table: Mutex::new(HashMap::new()), next_token: AtomicU64::new(1) }
-    }
+fn lock_table(m: &Mutex<Table>) -> MutexGuard<'_, Table> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
-    /// A fresh nonzero session token.
-    fn issue_token(&self) -> u64 {
-        let t = splitmix64(self.next_token.fetch_add(1, Ordering::Relaxed));
-        if t == 0 {
-            1
-        } else {
-            t
-        }
-    }
+/// A connection's hold on its session token. [`Hold::park`] parks the
+/// state; dropping the hold instead releases the token with no state.
+struct Hold<'a> {
+    parking: &'a Parking,
+    token: u64,
+}
 
-    /// Drop entries older than `window`, charging `sessions_expired`.
-    fn purge(&self, window: Duration, registry: &Registry) {
-        let mut table = lock_table(&self.table);
-        let before = table.len();
-        table.retain(|_, p| p.parked_at.elapsed() <= window);
-        let dropped = before - table.len();
-        if dropped > 0 {
-            registry.sessions_expired.fetch_add(dropped as u64, Ordering::Relaxed);
-            registry.sessions_parked.fetch_sub(dropped as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Park `state` under `token`. A full table expires finished
+impl Hold<'_> {
+    /// Park `state` under this token. A full table expires finished
     /// tombstones first, then the oldest live entry.
-    fn park(&self, token: u64, state: SessionState, config: &ServerConfig, registry: &Registry) {
-        self.purge(config.resume_window, registry);
-        let mut table = lock_table(&self.table);
-        while table.len() >= config.max_parked.max(1) {
+    fn park(self, state: SessionState, config: &ServerConfig, registry: &Registry) {
+        self.parking.purge(config.resume_window, registry);
+        let mut table = lock_table(&self.parking.table);
+        while table.parked.len() >= config.max_parked.max(1) {
             let victim = table
+                .parked
                 .iter()
-                .min_by_key(|(_, p)| (p.state.finished.is_none(), p.parked_at))
+                .min_by_key(|(_, p)| (matches!(p.state.replay, Replay::Live(_)), p.parked_at))
                 .map(|(t, _)| *t);
             match victim {
                 Some(t) => {
-                    table.remove(&t);
+                    table.parked.remove(&t);
                     registry.sessions_expired.fetch_add(1, Ordering::Relaxed);
                     registry.sessions_parked.fetch_sub(1, Ordering::Relaxed);
                 }
                 None => break,
             }
         }
-        table.insert(token, Parked { state, parked_at: Instant::now() });
+        table.parked.insert(self.token, Parked { state, parked_at: Instant::now() });
         registry.sessions_parked.fetch_add(1, Ordering::Relaxed);
+        // Parked and released under one lock: a waiting resume never
+        // finds the token in neither place.
+        table.held.remove(&self.token);
+        drop(table);
+        self.parking.released.notify_all();
+        std::mem::forget(self);
+    }
+}
+
+impl Drop for Hold<'_> {
+    fn drop(&mut self) {
+        lock_table(&self.parking.table).held.remove(&self.token);
+        self.parking.released.notify_all();
+    }
+}
+
+impl Parking {
+    fn new() -> Parking {
+        Parking {
+            table: Mutex::new(Table::default()),
+            released: Condvar::new(),
+            next_token: AtomicU64::new(1),
+        }
     }
 
-    /// Take the parked state for `token`, if it is still within the
-    /// resume window.
-    fn resume(&self, token: u64, window: Duration, registry: &Registry) -> Option<SessionState> {
-        self.purge(window, registry);
-        let taken = lock_table(&self.table).remove(&token);
-        if taken.is_some() {
-            registry.sessions_parked.fetch_sub(1, Ordering::Relaxed);
+    /// A fresh nonzero session token, held by the caller.
+    fn issue_token(&self) -> Hold<'_> {
+        let t = splitmix64(self.next_token.fetch_add(1, Ordering::Relaxed));
+        let token = if t == 0 { 1 } else { t };
+        lock_table(&self.table).held.insert(token);
+        Hold { parking: self, token }
+    }
+
+    /// Drop entries older than `window`, charging `sessions_expired`.
+    fn purge(&self, window: Duration, registry: &Registry) {
+        let mut table = lock_table(&self.table);
+        let before = table.parked.len();
+        table.parked.retain(|_, p| p.parked_at.elapsed() <= window);
+        let dropped = before - table.parked.len();
+        if dropped > 0 {
+            registry.sessions_expired.fetch_add(dropped as u64, Ordering::Relaxed);
+            registry.sessions_parked.fetch_sub(dropped as u64, Ordering::Relaxed);
         }
-        taken.map(|p| p.state)
+    }
+
+    /// Take and hold the parked state for `token`, if it is still within
+    /// the resume window. While another connection holds the token, wait
+    /// up to `stall_timeout` for it to let go.
+    fn resume(
+        &self,
+        token: u64,
+        config: &ServerConfig,
+        registry: &Registry,
+    ) -> Option<(Hold<'_>, SessionState)> {
+        self.purge(config.resume_window, registry);
+        let deadline = Instant::now() + config.stall_timeout;
+        let mut table = lock_table(&self.table);
+        loop {
+            if let Some(p) = table.parked.remove(&token) {
+                registry.sessions_parked.fetch_sub(1, Ordering::Relaxed);
+                table.held.insert(token);
+                return Some((Hold { parking: self, token }, p.state));
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if !table.held.contains(&token) || left.is_zero() {
+                return None;
+            }
+            table =
+                self.released.wait_timeout(table, left).unwrap_or_else(PoisonError::into_inner).0;
+        }
     }
 }
 
@@ -422,15 +575,7 @@ impl Server {
     /// Bind `endpoint`. A stale unix socket file from a previous run is
     /// removed first.
     pub fn bind(endpoint: Endpoint, config: ServerConfig) -> std::io::Result<Server> {
-        let listener = match &endpoint {
-            Endpoint::Tcp(addr) => Listener::Tcp(TcpListener::bind(addr.as_str())?),
-            Endpoint::Unix(path) => {
-                if path.exists() {
-                    std::fs::remove_file(path)?;
-                }
-                Listener::Unix(UnixListener::bind(path)?)
-            }
-        };
+        let listener = Listener::bind(&endpoint)?;
         let hierarchy = Hierarchy::new(HierarchyConfig::paper_five_level());
         Ok(Server {
             listener,
@@ -446,13 +591,7 @@ impl Server {
     /// The bound TCP address (resolves port 0), or the configured
     /// endpoint for unix sockets.
     pub fn local_endpoint(&self) -> Endpoint {
-        match (&self.listener, &self.endpoint) {
-            (Listener::Tcp(l), _) => match l.local_addr() {
-                Ok(a) => Endpoint::Tcp(a.to_string()),
-                Err(_) => self.endpoint.clone(),
-            },
-            (Listener::Unix(_), e) => e.clone(),
-        }
+        self.listener.local_endpoint(&self.endpoint)
     }
 
     /// The bound TCP socket address, if TCP.
@@ -468,34 +607,23 @@ impl Server {
         ServerHandle { registry: Arc::clone(&self.registry), shutdown: Arc::clone(&self.shutdown) }
     }
 
-    fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst) || signal::requested()
-    }
-
     /// Accept sessions until shutdown, then drain and flush the final
     /// metrics snapshot.
     pub fn run(self) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.shutting_down() {
-            match self.listener.accept() {
-                Ok(conn) => {
-                    let registry = Arc::clone(&self.registry);
-                    let parking = Arc::clone(&self.parking);
-                    let shutdown = Arc::clone(&self.shutdown);
-                    let config = self.config.clone();
-                    let id = self.next_session.fetch_add(1, Ordering::Relaxed);
-                    workers.push(std::thread::spawn(move || {
-                        handle_connection(conn, id, &registry, &parking, &config, &shutdown);
-                    }));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                    workers.retain(|w| !w.is_finished());
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let workers = self.listener.accept_until(
+            &self.local_endpoint(),
+            &self.shutdown,
+            |conn, workers| {
+                let registry = Arc::clone(&self.registry);
+                let parking = Arc::clone(&self.parking);
+                let shutdown = Arc::clone(&self.shutdown);
+                let config = self.config.clone();
+                let id = self.next_session.fetch_add(1, Ordering::Relaxed);
+                workers.push(std::thread::spawn(move || {
+                    handle_connection(conn, id, &registry, &parking, &config, &shutdown);
+                }));
+            },
+        )?;
 
         // Drain: sessions observe the shutdown flag within one tick.
         let deadline = Instant::now() + self.config.drain;
@@ -660,7 +788,8 @@ enum SessionEnd {
     /// Stall/idle deadline or shutdown drain: free the slot, drop the
     /// state.
     Evicted,
-    /// Authenticated protocol violation: drop the state.
+    /// Authenticated protocol violation, including new work for a
+    /// finished session: drop the state.
     Failed,
 }
 
@@ -795,10 +924,10 @@ fn handle_connection(
     }
     let resume_token = u64::from_le_bytes(token_bytes);
 
-    let (token, state) = if resume_token != 0 {
+    let (hold, state) = if resume_token != 0 {
         // Resume: the client holds a token from an earlier connection.
-        match parking.resume(resume_token, config.resume_window, registry) {
-            Some(state) => (resume_token, state),
+        match parking.resume(resume_token, config, registry) {
+            Some(resumed) => resumed,
             None => {
                 reject(&mut conn, registry, &WireError::BadToken.to_string());
                 return;
@@ -826,7 +955,7 @@ fn handle_connection(
         // Build the session before claiming a slot, so a bad label
         // never occupies one.
         match SessionCore::new(&label) {
-            Ok(core) => (parking.issue_token(), SessionState::new(label.clone(), core)),
+            Ok(core) => (parking.issue_token(), SessionState::new(label, core)),
             Err(e) => {
                 reject(&mut conn, registry, &e);
                 return;
@@ -860,7 +989,7 @@ fn handle_connection(
         );
         if resumed {
             // Don't strand the state the client will retry for.
-            parking.park(token, state, config, registry);
+            hold.park(state, config, registry);
         }
         return;
     }
@@ -868,13 +997,14 @@ fn handle_connection(
     if resumed {
         registry.sessions_resumed.fetch_add(1, Ordering::Relaxed);
     }
-    if write_with_timeouts(&mut conn, &encode_hello_reply_ok(token, state.last_acked)).is_err() {
+    if write_with_timeouts(&mut conn, &encode_hello_reply_ok(hold.token, state.last_acked)).is_err()
+    {
         // The reply never arrived; park so the token (already held by a
         // resuming client) or nothing (a new client never learned the
         // token) is recoverable. New-session state at this point is
         // empty, so parking it is harmless either way.
         if resumed {
-            parking.park(token, state, config, registry);
+            hold.park(state, config, registry);
         } else {
             registry.sessions_failed.fetch_add(1, Ordering::Relaxed);
         }
@@ -882,22 +1012,15 @@ fn handle_connection(
         return;
     }
 
-    let was_finished = state.finished.is_some();
     let (end, state) = run_session(&mut conn, id, state, registry, config, shutdown);
 
     registry.remove_session_gauge(id);
     match end {
         SessionEnd::Completed => {
             registry.sessions_completed.fetch_add(1, Ordering::Relaxed);
-            parking.park(token, state, config, registry);
+            hold.park(state, config, registry);
         }
-        SessionEnd::ReCompleted => {
-            debug_assert!(was_finished);
-            parking.park(token, state, config, registry);
-        }
-        SessionEnd::Parked => {
-            parking.park(token, state, config, registry);
-        }
+        SessionEnd::ReCompleted | SessionEnd::Parked => hold.park(state, config, registry),
         SessionEnd::Evicted => {
             registry.sessions_evicted.fetch_add(1, Ordering::Relaxed);
         }
@@ -962,7 +1085,20 @@ fn run_session(
     // start: on a resume this is the parked cumulative state, so the
     // global verdict counters never re-count work a previous
     // connection already reported.
-    let mut prev: Vec<StructureStats> = state.core.structure_stats().to_vec();
+    let mut prev: Vec<StructureStats> = Vec::new();
+    if let Replay::Live(core) = &state.replay {
+        prev.extend_from_slice(core.structure_stats());
+        let occ = core.occupancy();
+        registry.set_session_gauge(
+            id,
+            SessionGauge {
+                config: state.label.clone(),
+                occupancy_tracked: occ.tracked,
+                occupancy_capacity: occ.capacity,
+                accesses: core.accesses(),
+            },
+        );
+    }
     let mut deltas: Vec<(u64, u64, u64)> = Vec::with_capacity(prev.len());
     let mut records_scratch = Vec::new();
     // Once shutdown is observed the session may keep serving until the
@@ -1014,18 +1150,30 @@ fn run_session(
                             }
                             continue;
                         }
-                        if seq != state.last_acked + 1 {
-                            registry.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                            let _ = write_all_frame(
-                                conn,
-                                FrameType::Error,
-                                WireError::SeqGap { acked: state.last_acked, got: seq }
-                                    .to_string()
-                                    .as_bytes(),
-                            );
-                            break SessionEnd::Failed;
-                        }
-                        let summary = state.core.feed(&records_scratch);
+                        let core = match &mut state.replay {
+                            Replay::Live(core) if seq == state.last_acked + 1 => core,
+                            replay => {
+                                // Checksummed new work the session cannot
+                                // take is a client bug, not wire damage:
+                                // fail, and never feed it.
+                                let e = match replay {
+                                    Replay::Finished(_) => WireError::Unexpected(
+                                        "records frame after the session finished",
+                                    ),
+                                    Replay::Live(_) => {
+                                        WireError::SeqGap { acked: state.last_acked, got: seq }
+                                    }
+                                };
+                                registry.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                                let _ = write_all_frame(
+                                    conn,
+                                    FrameType::Error,
+                                    e.to_string().as_bytes(),
+                                );
+                                break SessionEnd::Failed;
+                            }
+                        };
+                        let summary = core.feed(&records_scratch);
                         state.last_acked = seq;
                         registry.frames_in.fetch_add(1, Ordering::Relaxed);
                         registry.frames_applied.fetch_add(1, Ordering::Relaxed);
@@ -1034,7 +1182,7 @@ fn run_session(
                             .fetch_add(records_scratch.len() as u64, Ordering::Relaxed);
                         registry.accesses.fetch_add(summary.accesses, Ordering::Relaxed);
                         deltas.clear();
-                        for (now, before) in state.core.structure_stats().iter().zip(&prev) {
+                        for (now, before) in core.structure_stats().iter().zip(&prev) {
                             deltas.push((
                                 now.hits - before.hits,
                                 now.misses - before.misses,
@@ -1043,16 +1191,13 @@ fn run_session(
                         }
                         registry.add_verdicts(&deltas);
                         prev.clear();
-                        prev.extend_from_slice(state.core.structure_stats());
-                        let occ = state.core.occupancy();
-                        registry.set_session_gauge(
+                        prev.extend_from_slice(core.structure_stats());
+                        let occ = core.occupancy();
+                        registry.update_session_gauge(
                             id,
-                            SessionGauge {
-                                config: state.label.clone(),
-                                occupancy_tracked: occ.tracked,
-                                occupancy_capacity: occ.capacity,
-                                accesses: state.core.accesses(),
-                            },
+                            occ.tracked,
+                            occ.capacity,
+                            core.accesses(),
                         );
                         let reply = crate::protocol::encode_summary(
                             seq,
@@ -1071,21 +1216,23 @@ fn run_session(
                         registry.latency.observe(t0.elapsed().as_micros() as u64);
                     }
                     FrameType::Finish => {
-                        if let Some(stats) = &state.finished {
-                            // A client that lost the first Stats reply
-                            // asks again; serve the cached payload.
-                            let payload = stats.clone();
-                            let _ = write_all_frame(conn, FrameType::Stats, &payload);
-                            break SessionEnd::ReCompleted;
-                        }
-                        // Even if the reply write fails, the session
-                        // IS complete: the tombstone parked under
-                        // Completed lets the client's retry re-fetch
-                        // the cached Stats.
-                        let stats = state.core.stats_wire().encode();
-                        let _ = write_all_frame(conn, FrameType::Stats, &stats);
-                        state.finished = Some(stats);
-                        break SessionEnd::Completed;
+                        // Even if the reply write fails, the session IS
+                        // complete: the tombstone parked under Completed
+                        // lets the client's retry re-fetch the Stats.
+                        break match &state.replay {
+                            Replay::Live(core) => {
+                                let stats = core.stats_wire().encode();
+                                let _ = write_all_frame(conn, FrameType::Stats, &stats);
+                                state.replay = Replay::Finished(stats);
+                                SessionEnd::Completed
+                            }
+                            Replay::Finished(stats) => {
+                                // A client that lost the first Stats reply
+                                // asks again; serve the kept payload.
+                                let _ = write_all_frame(conn, FrameType::Stats, stats);
+                                SessionEnd::ReCompleted
+                            }
+                        };
                     }
                     FrameType::Summary | FrameType::Stats | FrameType::Error => {
                         registry.protocol_errors.fetch_add(1, Ordering::Relaxed);
@@ -1185,4 +1332,77 @@ fn serve_metrics(
     );
     let _ = write_with_timeouts(conn, response.as_bytes());
     conn.shutdown_both();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::slam::{run_slam, SlamOptions};
+
+    /// A resume that arrives while the old connection still holds the
+    /// session waits for it to park, and fails at once if it lets go
+    /// without parking.
+    #[test]
+    fn resume_waits_for_the_holding_connection() {
+        let registry = Registry::new(&Hierarchy::new(HierarchyConfig::paper_five_level()));
+        let config = ServerConfig::default();
+        let parking = Parking::new();
+        std::thread::scope(|scope| {
+            let hold = parking.issue_token();
+            let token = hold.token;
+            let state = SessionState::new("baseline".into(), SessionCore::new("baseline").unwrap());
+            scope.spawn(|| {
+                std::thread::sleep(Duration::from_millis(100));
+                hold.park(state, &config, &registry);
+            });
+            let (again, state) = parking.resume(token, &config, &registry).expect("resumed");
+            assert_eq!(again.token, token);
+            assert!(matches!(state.replay, Replay::Live(_)));
+
+            let t0 = Instant::now();
+            drop(again);
+            assert!(parking.resume(token, &config, &registry).is_none(), "released, not parked");
+            assert!(t0.elapsed() < Duration::from_secs(1), "a released token is refused at once");
+        });
+        let table = lock_table(&parking.table);
+        assert!(table.parked.is_empty() && table.held.is_empty());
+    }
+
+    /// After whole sessions, each parked entry is a tombstone: the final
+    /// `Stats` and the summary ring, with no `SessionCore` left in it.
+    #[test]
+    fn finished_sessions_park_without_their_core() {
+        let server =
+            Server::bind(Endpoint::Tcp("127.0.0.1:0".to_string()), ServerConfig::default())
+                .unwrap();
+        let endpoint = server.local_endpoint();
+        let handle = server.handle();
+        let parking = Arc::clone(&server.parking);
+        let join = std::thread::spawn(move || server.run());
+        let opts = SlamOptions {
+            endpoint,
+            sessions: 3,
+            records: 3_000,
+            frame_records: 1_000,
+            config: "HMNM4".to_string(),
+            ..SlamOptions::default()
+        };
+        let report = run_slam(&opts).expect("slam");
+        assert_eq!(report.sessions_ok, 3, "failures: {:?}", report.failures);
+        handle.shutdown();
+        join.join().unwrap().unwrap();
+
+        let table = lock_table(&parking.table);
+        assert_eq!(table.parked.len(), 3);
+        assert!(table.held.is_empty(), "no connection holds a token after shutdown");
+        for parked in table.parked.values() {
+            let Replay::Finished(stats) = &parked.state.replay else {
+                panic!("a finished session was parked with its SessionCore");
+            };
+            assert_eq!(parked.state.last_acked, 3);
+            assert_eq!(parked.state.ring.len(), 3);
+            let stats = crate::protocol::SessionStatsWire::decode(stats).unwrap();
+            assert_eq!(stats.frames, 3);
+        }
+    }
 }

@@ -3,7 +3,8 @@
 //! The workspace is dependency-free, so instead of a signal crate this
 //! declares the two libc symbols std already links against. The handler
 //! does the only async-signal-safe thing possible: store to a static
-//! atomic, which the server's accept and session loops poll.
+//! atomic. The server's session loops and the chaos proxy's relays poll
+//! it, and a watcher thread polls it to wake a blocked `accept`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -163,16 +163,7 @@ pub fn session_instrs(base_seed: u64, k: usize, records: u64) -> Vec<Instr> {
 }
 
 fn connect(endpoint: &Endpoint) -> Result<Conn, String> {
-    let conn = match endpoint {
-        Endpoint::Tcp(addr) => Conn::Tcp(
-            std::net::TcpStream::connect(addr.as_str())
-                .map_err(|e| format!("connect {addr}: {e}"))?,
-        ),
-        Endpoint::Unix(path) => Conn::Unix(
-            std::os::unix::net::UnixStream::connect(path)
-                .map_err(|e| format!("connect {}: {e}", path.display()))?,
-        ),
-    };
+    let conn = crate::server::connect(endpoint).map_err(|e| format!("connect {endpoint}: {e}"))?;
     conn.set_timeouts(CLIENT_READ_TIMEOUT).map_err(|e| e.to_string())?;
     Ok(conn)
 }
